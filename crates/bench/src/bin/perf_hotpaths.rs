@@ -9,10 +9,10 @@
 //!    strided-head step, reimplemented here verbatim), (b) the optimized
 //!    allocation-free step, and (c) the full `LearnedMimic::on_packet`
 //!    shim path.
-//! 2. **Training samples/sec** — the mini-batch loop with naive kernels at
-//!    1 worker (the old configuration), blocked kernels at 1 worker, and
-//!    blocked kernels at 4 workers (bit-identical parameters by
-//!    construction; verified here at runtime).
+//! 2. **Training samples/sec** — the mini-batch loop at 1 and 4 workers
+//!    (bit-identical parameters by construction; verified here at
+//!    runtime), plus the training-shaped matmul on the reference and the
+//!    blocked kernels.
 //! 3. **End-to-end pipeline seconds** — small-scale sim + training + one
 //!    large-scale estimate.
 //!
@@ -25,7 +25,7 @@
 
 use mimic_ml::dataset::PacketDataset;
 use mimic_ml::loss::Target;
-use mimic_ml::matrix::{set_kernel_mode, KernelMode};
+use mimic_ml::matrix::Matrix;
 use mimic_ml::model::{ModelState, SeqModel, OUTPUTS};
 use mimic_ml::rng::MlRng;
 use mimic_ml::train::{train, TrainConfig};
@@ -41,9 +41,9 @@ const HIDDEN: usize = 32;
 struct BenchConfig {
     scale: String,
     /// CPU cores visible to the benchmark. Wall-clock speedups from the
-    /// worker fan-out and the overlap thread are only meaningful when this
-    /// is at least the worker budget; on a single-core runner they
-    /// degenerate to ~1x while the bit-identity checks still bind.
+    /// worker fan-out are only meaningful when this is at least the worker
+    /// budget; on a single-core runner they degenerate to ~1x while the
+    /// bit-identity checks still bind.
     #[serde(default)]
     cores: usize,
     features: usize,
@@ -86,15 +86,20 @@ struct InferenceNumbers {
 
 #[derive(Serialize, Deserialize)]
 struct TrainingNumbers {
-    naive_1w_samples_per_sec: f64,
     blocked_1w_samples_per_sec: f64,
     blocked_4w_samples_per_sec: f64,
-    /// blocked@1 / naive@1.
-    speedup_blocked_1w: f64,
-    /// blocked@4 / naive@1.
-    speedup_blocked_4w: f64,
     /// Runtime check: serialized params of the 1- and 4-worker runs match.
     parallel_bit_identical: bool,
+    /// One training-shaped product (`batch × features` by
+    /// `features × 4·hidden`) on the reference kernel, nanoseconds.
+    #[serde(default)]
+    reference_matmul_ns: f64,
+    /// The same product on the blocked kernel training uses.
+    #[serde(default)]
+    blocked_matmul_ns: f64,
+    /// reference / blocked.
+    #[serde(default)]
+    matmul_speedup: f64,
 }
 
 #[derive(Serialize, Deserialize, Default)]
@@ -212,24 +217,6 @@ struct TrainingParallelNumbers {
     workers: usize,
 }
 
-#[derive(Serialize, Deserialize, Default)]
-struct OverlapNumbers {
-    /// Composed sequential run, synchronous batched flushes: min-of-N wall
-    /// seconds (the event thread runs every `infer_batch` itself).
-    sync_s: f64,
-    /// Same run with flushes overlapped onto the helper thread.
-    overlap_s: f64,
-    /// sync / overlap.
-    speedup: f64,
-    /// Boundary packets the fleet served (identical in both modes).
-    boundary_packets: u64,
-    /// Event-thread wall per boundary packet, synchronous flushes.
-    sync_ns_per_boundary_pkt: f64,
-    /// Event-thread wall per boundary packet with inference off-thread.
-    overlap_ns_per_boundary_pkt: f64,
-    repeats: usize,
-}
-
 #[derive(Serialize, Deserialize)]
 struct BenchReport {
     config: BenchConfig,
@@ -256,10 +243,6 @@ struct BenchReport {
     /// readable; a zeroed section disables its gate.
     #[serde(default)]
     training_parallel: TrainingParallelNumbers,
-    /// Off-thread (overlapped) batched boundary inference vs the
-    /// synchronous flush path. Serde default as above.
-    #[serde(default)]
-    overlap: OverlapNumbers,
     /// Adaptive fidelity-tier composition (all-Mimic vs all-Flow vs
     /// budget-driven adaptive) at the large composed shape. Serde default
     /// as above.
@@ -535,7 +518,7 @@ fn bench_composed(iters: usize) -> ComposedNumbers {
     use dcn_sim::time::SimTime;
     use dcn_sim::topology::FatTree;
     use mimic_ml::discretize::Discretizer;
-    use mimicnet::batch::BatchedMimicFleet;
+    use mimicnet::batch::{BatchedMimicFleet, FeederHelper};
     use mimicnet::features::FeatureConfig;
     use mimicnet::feeder::{DirFit, FeederFit};
     use mimicnet::internal_model::InternalModel;
@@ -605,7 +588,7 @@ fn bench_composed(iters: usize) -> ComposedNumbers {
     // Batched path: the fleet over the identical trace, flushed in
     // window-sized chunks.
     let seeds: Vec<(u32, u64)> = (1..CLUSTERS).map(|c| (c, 9 ^ (0xC0DE_0000 + c as u64))).collect();
-    let mut fleet = BatchedMimicFleet::new(bundle, topo, CLUSTERS, &seeds);
+    let mut fleet = BatchedMimicFleet::new(bundle, topo, CLUSTERS, &seeds, FeederHelper::Off);
     let mut items = Vec::with_capacity(FLUSH);
     let mut verdicts = Vec::new();
     let mut run_flushes = |fleet: &mut BatchedMimicFleet, start: u64, n: usize| {
@@ -712,7 +695,6 @@ fn bench_obs(repeats: usize) -> ObsNumbers {
             Protocol::NewReno,
             &bundle,
             1,
-            false,
             opts,
         )
         .expect("valid composition");
@@ -821,27 +803,42 @@ fn bench_training(samples: usize, epochs: usize) -> (TrainingNumbers, TrainConfi
         ..TrainConfig::default()
     };
 
-    set_kernel_mode(KernelMode::Naive);
-    let (naive_1w, json_naive) = timed_train(&data, &cfg);
-    set_kernel_mode(KernelMode::Blocked);
     let (blocked_1w, json_1w) = timed_train(&data, &cfg);
     let (blocked_4w, json_4w) = timed_train(&data, &TrainConfig { workers: 4, ..cfg });
 
-    // Blocked row-major matmul preserves the naive accumulation order, and
-    // worker count never changes the reduction tree — all three runs must
-    // agree on the forward matmul path; 1w vs 4w must be bit-identical.
+    // Worker count never changes the reduction tree: 1w vs 4w must be
+    // bit-identical.
     let identical = json_1w == json_4w;
     assert!(identical, "1-worker and 4-worker training diverged");
-    drop(json_naive);
+
+    // The kernels themselves: the forward input product of one training
+    // batch, reference loops vs the blocked kernel, min of 5 timings.
+    let mut rng = MlRng::new(5);
+    let x = Matrix::from_fn(cfg.batch_size, FEATURES, |_, _| rng.next_f64() as f32);
+    let w = Matrix::from_fn(FEATURES, 4 * HIDDEN, |_, _| rng.next_f64() as f32);
+    let time_ns = |f: &dyn Fn() -> Matrix| {
+        let reps = 200;
+        (0..5)
+            .map(|_| {
+                let t0 = Instant::now();
+                for _ in 0..reps {
+                    std::hint::black_box(f());
+                }
+                t0.elapsed().as_nanos() as f64 / reps as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let reference_ns = time_ns(&|| x.matmul_reference(&w));
+    let blocked_ns = time_ns(&|| x.matmul(&w));
 
     (
         TrainingNumbers {
-            naive_1w_samples_per_sec: naive_1w,
             blocked_1w_samples_per_sec: blocked_1w,
             blocked_4w_samples_per_sec: blocked_4w,
-            speedup_blocked_1w: blocked_1w / naive_1w.max(1e-9),
-            speedup_blocked_4w: blocked_4w / naive_1w.max(1e-9),
             parallel_bit_identical: identical,
+            reference_matmul_ns: reference_ns,
+            blocked_matmul_ns: blocked_ns,
+            matmul_speedup: reference_ns / blocked_ns.max(1e-9),
         },
         cfg,
     )
@@ -868,94 +865,6 @@ fn bench_training_parallel(scale: Scale) -> TrainingParallelNumbers {
         speedup: serial_s / fanout_s.max(1e-9),
         bit_identical: identical,
         workers: 4,
-    }
-}
-
-/// Overlapped (off-thread) batched flushing vs the synchronous flush path
-/// on a real composed run at the fig02 shape (8 clusters, 7 Mimic'ed,
-/// composition-width models). Both modes produce bit-identical
-/// trajectories — the concurrency suite asserts it — so the only thing
-/// measured here is event-thread wall clock.
-fn bench_overlap(duration_s: f64, repeats: usize) -> OverlapNumbers {
-    use dcn_transport::Protocol;
-    use mimic_ml::discretize::Discretizer;
-    use mimicnet::compose::{compose_batched, try_compose_batched_overlapped};
-    use mimicnet::features::FeatureConfig;
-    use mimicnet::feeder::{DirFit, FeederFit};
-    use mimicnet::internal_model::InternalModel;
-    use mimicnet::mimic::TrainedMimic;
-
-    const COMPOSED_HIDDEN: usize = 384;
-    const CLUSTERS: u32 = 8;
-
-    let mut base = dcn_sim::config::SimConfig::small_scale();
-    base.duration_s = duration_s;
-    base.seed = 42;
-    // Route every real flow across the cluster boundary so the flush path
-    // (the thing being overlapped) dominates the run, and keep the
-    // synthetic feeders sparse — `on_wake` state updates happen on the
-    // event thread in both modes and would otherwise swamp the signal.
-    base.traffic.inter_cluster_fraction = 1.0;
-    let mut topo = base.topo;
-    topo.clusters = CLUSTERS;
-    let fc = FeatureConfig::from_topology(&topo);
-    let disc = Discretizer::new(2e-5, 1e-3, 100);
-    let mk = |seed| InternalModel {
-        model: SeqModel::new_stacked(fc.width(), COMPOSED_HIDDEN, 1, seed),
-        disc,
-    };
-    let fit = DirFit::fit(&[2e-3, 4e-3, 8e-3, 1.6e-2], &[320.0, 1460.0, 1460.0]);
-    let bundle = TrainedMimic {
-        ingress: mk(7),
-        egress: mk(8),
-        feature_cfg: fc,
-        feeder: FeederFit {
-            ingress: fit.clone(),
-            egress: fit,
-        },
-        envelope: None,
-    };
-
-    // One traced run to count the boundary packets the fleet serves (the
-    // count is mode- and trace-independent).
-    let mut sim = compose_batched(base, CLUSTERS, Protocol::NewReno, &bundle);
-    sim.enable_obs();
-    let m = sim.run();
-    let boundary_packets = m
-        .obs
-        .as_ref()
-        .map(|r| r.counter("mimic.fleet.packets_seen"))
-        .unwrap_or(0);
-
-    let run_once = |overlap: bool| -> f64 {
-        let mut sim = if overlap {
-            try_compose_batched_overlapped(base, CLUSTERS, Protocol::NewReno, &bundle)
-                .expect("valid composition")
-        } else {
-            compose_batched(base, CLUSTERS, Protocol::NewReno, &bundle)
-        };
-        let t0 = Instant::now();
-        let m = sim.run();
-        std::hint::black_box(m.events_processed);
-        t0.elapsed().as_secs_f64()
-    };
-
-    run_once(false); // warm caches and the page allocator
-    let (mut sync_s, mut overlap_s) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..repeats {
-        sync_s = sync_s.min(run_once(false));
-        overlap_s = overlap_s.min(run_once(true));
-    }
-
-    let per_pkt = |s: f64| s * 1e9 / (boundary_packets.max(1) as f64);
-    OverlapNumbers {
-        sync_s,
-        overlap_s,
-        speedup: sync_s / overlap_s.max(1e-9),
-        boundary_packets,
-        sync_ns_per_boundary_pkt: per_pkt(sync_s),
-        overlap_ns_per_boundary_pkt: per_pkt(overlap_s),
-        repeats,
     }
 }
 
@@ -1139,22 +1048,6 @@ fn check_baseline(report: &BenchReport) -> Result<(), String> {
             base.training_parallel.fanout_4w_training_s
         );
     }
-    // Overlapped-flush gate: event-thread wall per boundary packet with the
-    // helper thread on, same +25% rule (skipped for older baselines).
-    if base.overlap.overlap_ns_per_boundary_pkt > 0.0 {
-        let current = report.overlap.overlap_ns_per_boundary_pkt;
-        let allowed = base.overlap.overlap_ns_per_boundary_pkt * 1.25;
-        if current > allowed {
-            return Err(format!(
-                "overlapped compose regression: {current:.0} ns/boundary pkt vs baseline {:.0} (limit {allowed:.0}, +25%)",
-                base.overlap.overlap_ns_per_boundary_pkt
-            ));
-        }
-        println!(
-            "overlap baseline check: {current:.0} ns/boundary pkt vs {:.0} baseline (limit {allowed:.0}) — OK",
-            base.overlap.overlap_ns_per_boundary_pkt
-        );
-    }
     // Observability gate: the disabled-path A/A bound must stay under 1%
     // (skipped when the section was not measured).
     if report.obs.off_s > 0.0 {
@@ -1219,10 +1112,9 @@ fn ci_warning(msg: &str) {
 }
 
 /// Speedup gates that cannot bind on this runner, with the reason. The
-/// wall-clock speedups of the training fan-out and the overlapped flush
-/// path (both gated at ≥1.5×) are only meaningful with cores to fan out
-/// to: on a single-core runner they degenerate to ~1× while the
-/// bit-identity checks still bind. The skip reasons are recorded in the
+/// wall-clock speedup of the training fan-out (gated at ≥1.5×) is only
+/// meaningful with cores to fan out to: on a single-core runner it
+/// degenerates to ~1× while the bit-identity check still binds. The skip reasons are recorded in the
 /// report itself (`gate_skips`) so the JSON artifact states which numbers
 /// a green run did not check.
 fn collect_gate_skips(cores: usize) -> Vec<String> {
@@ -1232,11 +1124,6 @@ fn collect_gate_skips(cores: usize) -> Vec<String> {
             "training fan-out >=1.5x gate skipped: {cores} core(s) visible, \
              wall-clock speedup is core-bound (bit-identity check still binds)"
         ));
-        skips.push(format!(
-            "overlapped flush >=1.5x gate skipped: {cores} core(s) visible, \
-             wall-clock speedup is core-bound (trajectory bit-identity is \
-             asserted by the concurrency suite)"
-        ));
     }
     skips
 }
@@ -1244,7 +1131,7 @@ fn collect_gate_skips(cores: usize) -> Vec<String> {
 /// Absolute speedup gates, applied on every run (no baseline needed).
 ///
 /// The event-engine gate is single-threaded and binds everywhere. The
-/// two ≥1.5× multi-core gates are suppressed by whatever
+/// ≥1.5× multi-core gate is suppressed by whatever
 /// [`collect_gate_skips`] put in the report — each suppression is printed
 /// here and already serialized in the JSON artifact.
 fn check_speedup_gates(report: &BenchReport) -> Result<(), String> {
@@ -1272,14 +1159,7 @@ fn check_speedup_gates(report: &BenchReport) -> Result<(), String> {
             report.config.cores
         ));
     }
-    let ov = report.overlap.speedup;
-    if ov < 1.5 {
-        return Err(format!(
-            "overlapped flush speedup {ov:.2}x below the 1.5x gate on {} cores",
-            report.config.cores
-        ));
-    }
-    println!("multi-core gates: training fan-out {tp:.2}x, overlap {ov:.2}x (>= 1.5x) — OK");
+    println!("multi-core gate: training fan-out {tp:.2}x (>= 1.5x) — OK");
     Ok(())
 }
 
@@ -1343,11 +1223,13 @@ fn main() {
     println!("\n-- training ({samples} samples x {epochs} epochs, batch 64, window 8) --");
     let (training, tcfg) = bench_training(samples, epochs);
     println!(
-        "naive @ 1 worker:   {:>9.0} samples/s\nblocked @ 1 worker: {:>9.0} samples/s  ({:.2}x)\nblocked @ 4 workers:{:>9.0} samples/s  ({:.2}x)\n1w vs 4w parameters bit-identical: {}",
-        training.naive_1w_samples_per_sec,
-        training.blocked_1w_samples_per_sec, training.speedup_blocked_1w,
-        training.blocked_4w_samples_per_sec, training.speedup_blocked_4w,
-        training.parallel_bit_identical
+        "blocked @ 1 worker: {:>9.0} samples/s\nblocked @ 4 workers:{:>9.0} samples/s\n1w vs 4w parameters bit-identical: {}\nbatch matmul:       {:>9.0} ns reference, {:.0} ns blocked ({:.2}x)",
+        training.blocked_1w_samples_per_sec,
+        training.blocked_4w_samples_per_sec,
+        training.parallel_bit_identical,
+        training.reference_matmul_ns,
+        training.blocked_matmul_ns,
+        training.matmul_speedup
     );
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1362,22 +1244,6 @@ fn main() {
         training_parallel.fanout_4w_training_s,
         training_parallel.speedup,
         training_parallel.bit_identical
-    );
-
-    println!("\n-- overlapped boundary inference (fig02 shape, min-of-N) --");
-    let (ov_dur, ov_reps) = match scale {
-        Scale::Quick => (0.5, 3),
-        Scale::Full => (1.0, 5),
-    };
-    let overlap = bench_overlap(ov_dur, ov_reps);
-    println!(
-        "sync flushes:    {:>8.4} s  ({:.0} ns/boundary pkt)\noverlap flushes: {:>8.4} s  ({:.0} ns/boundary pkt, {:.2}x, {} pkts)",
-        overlap.sync_s,
-        overlap.sync_ns_per_boundary_pkt,
-        overlap.overlap_s,
-        overlap.overlap_ns_per_boundary_pkt,
-        overlap.speedup,
-        overlap.boundary_packets
     );
 
     println!("\n-- adaptive fidelity tiers (64 clusters, default budget) --");
@@ -1423,7 +1289,6 @@ fn main() {
         obs,
         training,
         training_parallel,
-        overlap,
         adaptive,
         pipeline,
         gate_skips: collect_gate_skips(cores),

@@ -10,8 +10,9 @@
 //!   recording happens at flush/window/epoch granularity.
 //! * **Mergeable across PDES partitions.** [`ObsReport`] merges exactly
 //!   like `dcn-sim`'s `Metrics::merge`: counters and histograms sum,
-//!   gauges overwrite-if-present (the `cluster_drift` rule), series and
-//!   spans concatenate. Wall timestamps come from one process-global epoch
+//!   gauges overwrite-if-present (the `cluster_drift` rule) except
+//!   `*.max` gauges, which keep the larger value, and series and spans
+//!   concatenate. Wall timestamps come from one process-global epoch
 //!   so spans from different partition threads land on a shared timeline.
 //! * **No dependencies** beyond the vendored `serde`/`serde_json`
 //!   stand-ins, used only by the exporters in [`export`].
@@ -125,8 +126,9 @@ pub struct ObsReport {
     pub spans: Vec<SpanEvent>,
     pub counters: BTreeMap<String, u64>,
     /// Gauges overwrite-if-present on merge (last writer wins), mirroring
-    /// `Metrics::merge`'s `cluster_drift` semantics. Owned keys: gauges
-    /// are set at fold time, never on a hot path.
+    /// `Metrics::merge`'s `cluster_drift` semantics; gauges named `*.max`
+    /// keep the larger value instead. Owned keys: gauges are set at fold
+    /// time, never on a hot path.
     pub gauges: BTreeMap<String, f64>,
     pub hists: BTreeMap<String, Hist>,
     /// Ordered samples (e.g. per-epoch training losses); concatenated on
@@ -148,14 +150,20 @@ pub struct ObsReport {
 impl ObsReport {
     /// Merge another partition's report into this one. Mirrors
     /// `Metrics::merge`: counters/histograms sum, gauges overwrite when
-    /// the other side has a value, series and spans concatenate.
+    /// the other side has a value (`*.max` gauges keep the larger one),
+    /// series and spans concatenate.
     pub fn merge(&mut self, other: ObsReport) {
         self.spans.extend(other.spans);
         for (k, v) in other.counters {
             *self.counters.entry(k).or_insert(0) += v;
         }
         for (k, v) in other.gauges {
-            self.gauges.insert(k, v);
+            match self.gauges.get_mut(&k) {
+                Some(mine) if k.ends_with(".max") => *mine = mine.max(v),
+                _ => {
+                    self.gauges.insert(k, v);
+                }
+            }
         }
         for (k, v) in other.hists {
             self.hists.entry(k).or_default().merge(&v);
@@ -420,6 +428,7 @@ mod tests {
         a.counters.insert("n".into(), 2);
         a.gauges.insert("g".into(), 1.0);
         a.gauges.insert("only_a".into(), 5.0);
+        a.gauges.insert("peak.max".into(), 7.0);
         a.hists.entry("h".into()).or_default().observe(4);
         a.series.insert("s".into(), vec![1.0, 2.0]);
 
@@ -427,6 +436,7 @@ mod tests {
         b.counters.insert("n".into(), 3);
         b.counters.insert("m".into(), 1);
         b.gauges.insert("g".into(), 9.0); // overwrites, like cluster_drift
+        b.gauges.insert("peak.max".into(), 3.0);
         b.hists.entry("h".into()).or_default().observe(8);
         b.series.insert("s".into(), vec![3.0]);
 
@@ -435,6 +445,7 @@ mod tests {
         assert_eq!(a.counter("m"), 1);
         assert_eq!(a.gauges["g"], 9.0);
         assert_eq!(a.gauges["only_a"], 5.0);
+        assert_eq!(a.gauges["peak.max"], 7.0, "max gauges keep the larger value");
         assert_eq!(a.hists["h"].count, 2);
         assert_eq!(a.hists["h"].sum, 12);
         assert_eq!(a.series["s"], vec![1.0, 2.0, 3.0]);

@@ -190,10 +190,11 @@ pub struct BoundaryItem {
 ///   the engine's license to delay inference: a flush scheduled before
 ///   `oldest_enqueue + floor` can only produce strictly-future events.
 ///
-/// Implementations must be `Send`: when overlapped flushing is enabled
-/// (see `Simulation::set_batch_overlap`) the engine ships the boxed model
-/// to a helper thread and back between flushes. The model is only ever
-/// *used* by one thread at a time, so no `Sync` is required.
+/// Implementations must be `Send`, so an engine can be built on one
+/// thread and run on another. The engine only ever calls the model from
+/// its own event thread, so no `Sync` is required; a model that does work
+/// on helper threads of its own must keep every hook's result identical
+/// to doing that work inline.
 pub trait BatchClusterModel: Send {
     /// The cluster indices this model serves.
     fn clusters(&self) -> &[u32];

@@ -21,7 +21,7 @@
 //! model, each into its own buffer, and reduce them in a fixed order.
 
 use crate::fastmath;
-use crate::matrix::{fmadd, kernel_mode, KernelMode, Matrix};
+use crate::matrix::{fmadd, Matrix};
 use crate::rng::MlRng;
 use serde::{Deserialize, Serialize};
 
@@ -231,16 +231,12 @@ impl Lstm {
     }
 
     /// One forward step for a batch. Returns the new state and the cache
-    /// for backprop. Dispatches on the process-wide
-    /// [`KernelMode`]: the reference path keeps the original
-    /// slice-and-map implementation with exact libm activations; the
-    /// optimized path fuses the whole gate chain into one sweep with
-    /// [`fastmath`] activations (|error| < 1e-6 per gate).
+    /// for backprop. Fuses the whole gate chain into one sweep with
+    /// [`fastmath`] activations (|error| < 1e-6 per gate); the original
+    /// slice-and-map implementation with exact libm activations stays
+    /// available as [`Lstm::forward_step_reference`].
     pub fn forward_step(&self, x: &Matrix, state: &LstmState) -> (LstmState, StepCache) {
-        match kernel_mode() {
-            KernelMode::Naive => self.forward_step_reference(x, state),
-            KernelMode::Blocked => self.forward_step_fused(x, state),
-        }
+        self.forward_step_fused(x, state)
     }
 
     /// The pre-optimization forward step, kept verbatim as the
@@ -448,11 +444,10 @@ impl Lstm {
     /// `dz · Wxᵀ` product, roughly a quarter of the step's matrix math —
     /// can be skipped entirely with `need_dx = false`.
     ///
-    /// Dispatches on the process [`KernelMode`]: the reference path is
-    /// the original per-gate hadamard chain (which always computes `dx`,
-    /// exactly as the pre-optimization code did); the optimized path
-    /// fuses the gate-derivative chain into one sweep writing `dz`
-    /// directly and accumulates the weight gradients in place.
+    /// Fuses the gate-derivative chain into one sweep writing `dz`
+    /// directly and accumulates the weight gradients in place; the
+    /// original per-gate hadamard chain stays available as
+    /// [`Lstm::backward_step_reference`].
     pub fn backward_step_opt(
         &self,
         cache: &StepCache,
@@ -461,14 +456,7 @@ impl Lstm {
         grads: &mut LstmGrads,
         need_dx: bool,
     ) -> (Option<Matrix>, Matrix, Matrix) {
-        match kernel_mode() {
-            KernelMode::Naive => {
-                let (dx, dh_prev, dc_prev) =
-                    self.backward_step_reference(cache, dh, dc_in, grads);
-                (need_dx.then_some(dx), dh_prev, dc_prev)
-            }
-            KernelMode::Blocked => self.backward_step_fused(cache, dh, dc_in, grads, need_dx),
-        }
+        self.backward_step_fused(cache, dh, dc_in, grads, need_dx)
     }
 
     /// The pre-optimization backward step, kept verbatim as the

@@ -6,9 +6,10 @@
 //!
 //! Two kernel families exist for the three multiply shapes:
 //!
-//! * **Naive** — the reference `i-k-j` loops (`*_naive`). Simple, obviously
-//!   correct, and kept forever as the oracle for the blocked kernels'
-//!   property tests and as the "before" side of the perf benchmarks.
+//! * **Reference** — the naive `i-k-j` loops (`*_reference`). Simple,
+//!   obviously correct, and kept forever as the oracle for the blocked
+//!   kernels' property tests and as the "before" side of the perf
+//!   benchmarks.
 //! * **Blocked** — cache-blocked, register-tiled loops over contiguous row
 //!   slices (`*_blocked`). The inner loops are plain slice zips that LLVM
 //!   auto-vectorizes on stable Rust; there is no `std::simd` and no
@@ -16,39 +17,12 @@
 //!   accumulation order exactly; `t_matmul_blocked` / `matmul_t_blocked`
 //!   reassociate sums (bounded by the 1e-5 property tests).
 //!
-//! The public `matmul`/`t_matmul`/`matmul_t` dispatch on a process-wide
-//! [`KernelMode`] (default [`KernelMode::Blocked`]). The switch exists so
-//! benchmarks can measure an honest naive baseline in the same binary;
-//! tests that need naive results call the `*_naive` methods directly
-//! rather than flipping the global (tests run concurrently).
+//! The public `matmul`/`t_matmul`/`matmul_t` always run the blocked
+//! kernels. Tests and benchmarks that need the reference results call the
+//! `*_reference` methods directly; no process-wide switch exists, so
+//! concurrently running tests can never change each other's numerics.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which matmul kernels the process uses (see module docs).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum KernelMode {
-    /// Reference `i-k-j` triple loops.
-    Naive = 0,
-    /// Cache-blocked, register-tiled kernels (default).
-    Blocked = 1,
-}
-
-static KERNEL_MODE: AtomicU8 = AtomicU8::new(KernelMode::Blocked as u8);
-
-/// Switch the process-wide kernel mode (benchmarks only; not thread-scoped).
-pub fn set_kernel_mode(mode: KernelMode) {
-    KERNEL_MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// The current process-wide kernel mode.
-pub fn kernel_mode() -> KernelMode {
-    if KERNEL_MODE.load(Ordering::Relaxed) == KernelMode::Naive as u8 {
-        KernelMode::Naive
-    } else {
-        KernelMode::Blocked
-    }
-}
 
 /// Fused multiply-add where the target has a hardware FMA unit (one
 /// rounding, twice the peak FLOPs of separate mul+add); plain `a*b + c`
@@ -158,36 +132,24 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// `self · other`, dispatching on the process [`kernel_mode`].
+    /// `self · other` (blocked kernel).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        match kernel_mode() {
-            KernelMode::Naive => self.matmul_naive(other),
-            KernelMode::Blocked => self.matmul_blocked(other),
-        }
+        self.matmul_blocked(other)
     }
 
-    /// `selfᵀ · other` (no materialized transpose), dispatching on the
-    /// process [`kernel_mode`].
+    /// `selfᵀ · other` (no materialized transpose, blocked kernel).
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        match kernel_mode() {
-            KernelMode::Naive => self.t_matmul_naive(other),
-            KernelMode::Blocked => self.t_matmul_blocked(other),
-        }
+        self.t_matmul_blocked(other)
     }
 
-    /// `self · otherᵀ` (no materialized transpose), dispatching on the
-    /// process [`kernel_mode`].
+    /// `self · otherᵀ` (no materialized transpose, blocked kernel).
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        match kernel_mode() {
-            KernelMode::Naive => self.matmul_t_naive(other),
-            KernelMode::Blocked => self.matmul_t_blocked(other),
-        }
+        self.matmul_t_blocked(other)
     }
 
     /// `out += self · other` — the accumulating form for callers that sum
     /// several products into one buffer (e.g. `x·Wx + h·Wh`): it skips the
-    /// temporary result and the extra add pass. Dispatches on the process
-    /// [`kernel_mode`].
+    /// temporary result and the extra add pass.
     pub fn matmul_accum(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         assert_eq!(
@@ -195,13 +157,10 @@ impl Matrix {
             (self.rows, other.cols),
             "matmul output shape mismatch"
         );
-        match kernel_mode() {
-            KernelMode::Naive => self.matmul_accum_naive(other, out),
-            KernelMode::Blocked => self.matmul_accum_blocked(other, out),
-        }
+        self.matmul_accum_blocked(other, out);
     }
 
-    fn matmul_accum_naive(&self, other: &Matrix, out: &mut Matrix) {
+    fn matmul_accum_reference(&self, other: &Matrix, out: &mut Matrix) {
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self.data[i * self.cols + k];
@@ -215,10 +174,10 @@ impl Matrix {
     }
 
     /// Reference `self · other`: `i-k-j` saxpy loops.
-    pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
+    pub fn matmul_reference(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_accum_naive(other, &mut out);
+        self.matmul_accum_reference(other, &mut out);
         out
     }
 
@@ -226,7 +185,7 @@ impl Matrix {
     /// tiles. Per output row the `k` accumulation order matches the naive
     /// kernel, but each multiply-add is contracted into a hardware FMA
     /// (one rounding instead of two), so results agree with
-    /// [`Self::matmul_naive`] to ~1e-6 relative rather than bit-for-bit.
+    /// [`Self::matmul_reference`] to ~1e-6 relative rather than bit-for-bit.
     pub fn matmul_blocked(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
@@ -283,8 +242,7 @@ impl Matrix {
 
     /// `out += selfᵀ · other` — the accumulating form used for gradient
     /// buffers: it skips the temporary result and the extra add pass of
-    /// `out.add_assign(&self.t_matmul(other))`. Dispatches on the process
-    /// [`kernel_mode`].
+    /// `out.add_assign(&self.t_matmul(other))`.
     pub fn t_matmul_accum(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
         assert_eq!(
@@ -292,13 +250,10 @@ impl Matrix {
             (self.cols, other.cols),
             "t_matmul output shape mismatch"
         );
-        match kernel_mode() {
-            KernelMode::Naive => self.t_matmul_accum_naive(other, out),
-            KernelMode::Blocked => self.t_matmul_accum_blocked(other, out),
-        }
+        self.t_matmul_accum_blocked(other, out);
     }
 
-    fn t_matmul_accum_naive(&self, other: &Matrix, out: &mut Matrix) {
+    fn t_matmul_accum_reference(&self, other: &Matrix, out: &mut Matrix) {
         for r in 0..self.rows {
             let arow = self.row(r);
             let brow = other.row(r);
@@ -347,10 +302,10 @@ impl Matrix {
     }
 
     /// Reference `selfᵀ · other`: rank-1 updates over shared rows.
-    pub fn t_matmul_naive(&self, other: &Matrix) -> Matrix {
+    pub fn t_matmul_reference(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
         let mut out = Matrix::zeros(self.cols, other.cols);
-        self.t_matmul_accum_naive(other, &mut out);
+        self.t_matmul_accum_reference(other, &mut out);
         out
     }
 
@@ -365,7 +320,7 @@ impl Matrix {
     }
 
     /// Reference `self · otherᵀ`: serial dot products.
-    pub fn matmul_t_naive(&self, other: &Matrix) -> Matrix {
+    pub fn matmul_t_reference(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.rows);
         for i in 0..self.rows {
@@ -527,7 +482,7 @@ mod tests {
         for &(r, k, c) in &[(1, 1, 1), (3, 5, 2), (4, 4, 4), (7, 131, 9), (16, 256, 33)] {
             let a = random(r, k, &mut rng);
             let b = random(k, c, &mut rng);
-            assert_close(&a.matmul_blocked(&b), &a.matmul_naive(&b), 1e-5, "matmul");
+            assert_close(&a.matmul_blocked(&b), &a.matmul_reference(&b), 1e-5, "matmul");
         }
     }
 
@@ -538,19 +493,14 @@ mod tests {
         for &(r, k, c) in &[(1, 1, 1), (2, 3, 5), (5, 7, 3), (9, 130, 11), (13, 129, 6)] {
             let a = random(r, k, &mut rng);
             let b = random(k, c, &mut rng);
-            assert_close(&a.matmul_blocked(&b), &a.matmul_naive(&b), 1e-5, "matmul");
+            assert_close(&a.matmul_blocked(&b), &a.matmul_reference(&b), 1e-5, "matmul");
             let a2 = random(k, r, &mut rng);
             let b2 = random(k, c, &mut rng);
-            assert_close(&a2.t_matmul_blocked(&b2), &a2.t_matmul_naive(&b2), 1e-5, "t_matmul");
+            assert_close(&a2.t_matmul_blocked(&b2), &a2.t_matmul_reference(&b2), 1e-5, "t_matmul");
             let a3 = random(r, k, &mut rng);
             let b3 = random(c, k, &mut rng);
-            assert_close(&a3.matmul_t_blocked(&b3), &a3.matmul_t_naive(&b3), 1e-5, "matmul_t");
+            assert_close(&a3.matmul_t_blocked(&b3), &a3.matmul_t_reference(&b3), 1e-5, "matmul_t");
         }
-    }
-
-    #[test]
-    fn kernel_mode_default_is_blocked() {
-        assert_eq!(kernel_mode(), KernelMode::Blocked);
     }
 
     #[test]

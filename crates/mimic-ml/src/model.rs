@@ -27,7 +27,7 @@
 
 use crate::linear::{Linear, LinearGrads};
 use crate::lstm::{Lstm, LstmGrads, LstmScratch, LstmState, StepCache};
-use crate::matrix::{kernel_mode, KernelMode, Matrix};
+use crate::matrix::Matrix;
 use crate::rng::MlRng;
 use serde::{Deserialize, Serialize};
 
@@ -348,13 +348,11 @@ impl SeqModel {
     /// `lanes[i]` names the entry of `states` that row `i` advances;
     /// `out[i]` receives row `i`'s `[latency, drop_logit, ecn_logit]`.
     ///
-    /// Dispatches on the process-wide [`KernelMode`], exactly like the
-    /// training kernels: the reference path steps each lane through
-    /// [`SeqModel::step`] one by one; the blocked path runs the
-    /// weight-sharing lane kernel. Both produce **bit-identical** results
-    /// to scalar stepping (asserted by unit + integration equivalence
-    /// suites) — batching here is a memory-traffic optimization, never a
-    /// numerical one.
+    /// Runs the weight-sharing lane kernel ([`SeqModel::step_lanes_blocked`]).
+    /// It is **bit-identical** to stepping each lane through
+    /// [`SeqModel::step`] one by one ([`SeqModel::step_lanes_reference`];
+    /// asserted by unit + integration equivalence suites) — batching here
+    /// is a memory-traffic optimization, never a numerical one.
     pub fn step_lanes(
         &self,
         feats: &[f32],
@@ -364,10 +362,7 @@ impl SeqModel {
         out: &mut [[f32; OUTPUTS]],
         scratch: &mut BatchScratch,
     ) {
-        match kernel_mode() {
-            KernelMode::Naive => self.step_lanes_reference(feats, n, states, lanes, out),
-            KernelMode::Blocked => self.step_lanes_blocked(feats, n, states, lanes, out, scratch),
-        }
+        self.step_lanes_blocked(feats, n, states, lanes, out, scratch);
     }
 
     /// The equivalence baseline for [`SeqModel::step_lanes`]: a plain loop

@@ -54,19 +54,19 @@ proptest! {
         let a = mat(r, k, seed);
         let b = mat(k, c, seed ^ 3);
         let lhs = a.matmul_blocked(&b);
-        let rhs = a.matmul_naive(&b);
+        let rhs = a.matmul_reference(&b);
         for (x, y) in lhs.data.iter().zip(&rhs.data) {
             prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()));
         }
         let a2 = mat(k, r, seed ^ 4);
         let lhs = a2.t_matmul_blocked(&b);
-        let rhs = a2.t_matmul_naive(&b);
+        let rhs = a2.t_matmul_reference(&b);
         for (x, y) in lhs.data.iter().zip(&rhs.data) {
             prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()));
         }
         let b2 = mat(c, k, seed ^ 5);
         let lhs = a.matmul_t_blocked(&b2);
-        let rhs = a.matmul_t_naive(&b2);
+        let rhs = a.matmul_t_reference(&b2);
         for (x, y) in lhs.data.iter().zip(&rhs.data) {
             prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()));
         }

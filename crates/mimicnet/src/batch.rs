@@ -37,6 +37,38 @@
 //! * **Causality** — every verdict's exit time is at least
 //!   [`latency_floor`](BatchClusterModel::latency_floor) past its enqueue
 //!   time, the engine's license to defer inference.
+//!
+//! # Feeder backlogs and the feeder helper
+//!
+//! Feeder packets only advance a lane's LSTM state; their output is
+//! discarded (paper §6). That state-only step is the largest single cost
+//! of a composed run, and it depends on nothing but the lane's own
+//! feature rows. So [`BatchClusterModel::on_wake`] does only the order-
+//! and RNG-sensitive part on the event thread — `Feeder::fire` and
+//! `FeatureExtractor::extract_into` — and appends each extracted row to
+//! the lane's *backlog*. The rows are applied later, in per-lane FIFO
+//! order, by whichever thread gets to them first:
+//!
+//! * the fleet's helper thread ([`FeederHelper::On`]), which sweeps the
+//!   backlogs as they fill;
+//! * the event thread itself ("help-first"), whenever it needs the lane's
+//!   state — a flush touching the lane, `save_state` — or the backlog
+//!   reaches `BACKLOG_CAP` rows, which bounds memory when the helper
+//!   falls behind. Without a helper the event thread applies each wake's
+//!   rows right away.
+//!
+//! A lane's state only ever advances by its backlog's rows, oldest first:
+//! the event thread applies rows under the lane's lock; the helper claims
+//! the rows queued at that moment, steps a private copy of the state
+//! outside the lock, and commits the copy only if its claim is still in
+//! place. Whenever the event thread needs the lane it cancels any claim
+//! and applies the whole backlog itself, so it never waits on helper
+//! progress, and a cancelled helper result is simply dropped. The lane
+//! therefore sees exactly the operation sequence of stepping each feeder
+//! packet inline: its rows in order, then the flush or snapshot that
+//! needed the state. Estimates, snapshots and digests are bit-identical
+//! with the helper on or off, at any core count, however far behind the
+//! helper runs.
 
 use crate::drift::DriftMonitor;
 use crate::internal_model::InternalModel;
@@ -50,9 +82,281 @@ use dcn_sim::topology::{FatTree, FatTreeParams};
 use mimic_ml::loss::sigmoid;
 use mimic_ml::model::{BatchScratch, ModelState, OUTPUTS, OUT_DROP, OUT_ECN, OUT_LATENCY};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 
 use crate::features::FeatureExtractor;
 use crate::feeder::Feeder;
+
+/// Feeder rows a lane's backlog may hold before the event thread applies
+/// them itself. Bounds backlog memory at `lanes × BACKLOG_CAP` rows.
+const BACKLOG_CAP: usize = 128;
+
+/// Rows the event thread queues before it wakes a parked helper (about
+/// 0.1 ms of helper work at hidden size 24). The helper never spins while
+/// idle: on a host whose second core is shared, an idle spin would take
+/// time from the event thread, so the helper parks and each wake-up must
+/// buy enough work to pay for its system call.
+const WAKE_ROWS: usize = 256;
+
+/// Whether a fleet runs a helper thread for its feeder backlogs (see the
+/// module docs). The choice changes wall-clock time only, never a result.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FeederHelper {
+    /// The event thread applies every backlog itself.
+    Off,
+    /// One helper thread applies backlogs as they fill; the event thread
+    /// still applies whatever is left when it needs a lane's state.
+    On,
+}
+
+impl FeederHelper {
+    /// [`FeederHelper::On`] exactly when the host has more cores than the
+    /// run has PDES partitions, so no LP's event thread ever competes with
+    /// a helper for a core.
+    pub fn for_partitions(partitions: usize) -> FeederHelper {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if cores > partitions {
+            FeederHelper::On
+        } else {
+            FeederHelper::Off
+        }
+    }
+}
+
+/// `LaneInner::claimed` while the event thread has moved the lane's state
+/// into a flush slab.
+const CHECKED_OUT: usize = usize::MAX;
+
+/// One lane's recurrent state and its feeder backlog, shared between the
+/// event thread and the feeder helper. The helper holds the lock only for
+/// bookkeeping, never while it computes, so the event thread never waits
+/// on helper progress.
+struct LaneCell {
+    inner: Mutex<LaneInner>,
+    /// `inner.rows` in rows, readable without the lock (the helper's scan).
+    pending: AtomicUsize,
+}
+
+struct LaneInner {
+    /// The lane's LSTM state, advanced by every feeder row already removed
+    /// from `rows`.
+    state: ModelState,
+    /// Extracted feeder rows not yet applied, oldest first, `width`
+    /// floats each.
+    rows: Vec<f32>,
+    /// How many rows at the front of `rows` the helper is applying to its
+    /// own copy of `state` (0: none, [`CHECKED_OUT`]: the event thread
+    /// holds the state). The helper commits its copy only if the claim is
+    /// still in place; the event thread cancels it whenever it needs the
+    /// lane.
+    claimed: usize,
+}
+
+/// Everything the fleet shares with its feeder helper.
+struct FeederShared {
+    bundles: Vec<TrainedMimic>,
+    /// `assign[li]` = bundle index of lane `li`.
+    assign: Vec<usize>,
+    /// `cells[0]` ingress lanes, `cells[1]` egress lanes.
+    cells: [Vec<LaneCell>; 2],
+    /// Feature width shared by every bundle.
+    width: usize,
+    /// Bumped every `WAKE_ROWS` queued rows; a helper that found no work
+    /// parks until it moves.
+    queued: AtomicU64,
+    /// The helper is parked (or about to park) and wants an unpark.
+    sleeping: AtomicBool,
+    stop: AtomicBool,
+    /// Set when the helper panicked, so the event thread fails fast.
+    failed: AtomicBool,
+    /// Rows applied by the helper / by the event thread.
+    helper_steps: AtomicU64,
+    inline_steps: AtomicU64,
+}
+
+impl FeederShared {
+    fn model(&self, dir: usize, li: usize) -> &InternalModel {
+        let b = &self.bundles[self.assign[li]];
+        if dir == 0 {
+            &b.ingress
+        } else {
+            &b.egress
+        }
+    }
+
+    /// Queue one wake's rows on lane (`dir`, `li`); returns the backlog
+    /// length in rows.
+    fn push_rows(&self, dir: usize, li: usize, rows: &[f32]) -> usize {
+        let cell = &self.cells[dir][li];
+        let mut inner = lock(&cell.inner);
+        inner.rows.extend_from_slice(rows);
+        let n = inner.rows.len() / self.width;
+        cell.pending.store(n, Ordering::Relaxed);
+        n
+    }
+
+    /// The event thread's access to a lane: cancel any helper claim and
+    /// apply the whole backlog inline, so the returned state has seen every
+    /// queued feeder row.
+    fn lane_state(&self, dir: usize, li: usize) -> MutexGuard<'_, LaneInner> {
+        if self.failed.load(Ordering::Relaxed) {
+            helper_panicked();
+        }
+        let cell = &self.cells[dir][li];
+        let mut inner = lock(&cell.inner);
+        inner.claimed = 0;
+        if !inner.rows.is_empty() {
+            let LaneInner { state, rows, .. } = &mut *inner;
+            let model = self.model(dir, li);
+            for x in rows.chunks_exact(self.width) {
+                model.update_only(x, state);
+            }
+            let n = (rows.len() / self.width) as u64;
+            rows.clear();
+            cell.pending.store(0, Ordering::Relaxed);
+            self.inline_steps.fetch_add(n, Ordering::Relaxed);
+        }
+        inner
+    }
+
+    /// Helper side: claim lane (`dir`, `li`)'s backlog, apply it to a copy
+    /// of the state outside the lock, and commit the copy unless the event
+    /// thread took the lane over meanwhile. Returns the rows committed.
+    fn help_lane(&self, dir: usize, li: usize, copy: &mut ModelState, rows: &mut Vec<f32>) -> u64 {
+        let cell = &self.cells[dir][li];
+        let n = {
+            // Busy means the event thread is applying this backlog itself.
+            let Ok(mut inner) = cell.inner.try_lock() else {
+                return 0;
+            };
+            if inner.claimed != 0 || inner.rows.is_empty() {
+                return 0;
+            }
+            copy_state(copy, &inner.state);
+            rows.clear();
+            rows.extend_from_slice(&inner.rows);
+            let n = rows.len() / self.width;
+            inner.claimed = n;
+            n
+        };
+        let model = self.model(dir, li);
+        for x in rows.chunks_exact(self.width) {
+            model.update_only(x, copy);
+        }
+        let mut inner = lock(&cell.inner);
+        if inner.claimed != n {
+            return 0;
+        }
+        copy_state(&mut inner.state, copy);
+        inner.rows.drain(..n * self.width);
+        inner.claimed = 0;
+        cell.pending.store(inner.rows.len() / self.width, Ordering::Relaxed);
+        n as u64
+    }
+
+    /// The helper thread's loop: sweep every lane with a backlog for as
+    /// long as sweeps find work, then park until `queued` moves.
+    fn run_helper(&self) {
+        let mut copies: [Vec<ModelState>; 2] = [0, 1].map(|d| {
+            (0..self.assign.len())
+                .map(|li| self.model(d, li).init_state())
+                .collect()
+        });
+        let mut rows = Vec::with_capacity(2 * BACKLOG_CAP * self.width);
+        while !self.stop.load(Ordering::Acquire) {
+            let seen = self.queued.load(Ordering::SeqCst);
+            let mut steps = 0;
+            for (d, cells) in self.cells.iter().enumerate() {
+                for (li, cell) in cells.iter().enumerate() {
+                    if cell.pending.load(Ordering::Relaxed) > 0 {
+                        steps += self.help_lane(d, li, &mut copies[d][li], &mut rows);
+                    }
+                }
+            }
+            if steps > 0 {
+                self.helper_steps.fetch_add(steps, Ordering::Relaxed);
+                continue;
+            }
+            // Announce the park before re-checking `queued`; `notify`
+            // bumps `queued` before reading `sleeping`, so one of the two
+            // sides always sees the other. The timeout is a backstop only.
+            self.sleeping.store(true, Ordering::SeqCst);
+            if self.queued.load(Ordering::SeqCst) == seen && !self.stop.load(Ordering::SeqCst) {
+                std::thread::park_timeout(std::time::Duration::from_millis(10));
+            }
+            self.sleeping.store(false, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Copy `src`'s recurrent state into `dst` (same model shape) without
+/// allocating. The gate scratch is rewritten by every step, so it carries
+/// no state.
+fn copy_state(dst: &mut ModelState, src: &ModelState) {
+    for (d, s) in dst.layers.iter_mut().zip(&src.layers) {
+        d.h.data.copy_from_slice(&s.h.data);
+        d.c.data.copy_from_slice(&s.c.data);
+    }
+}
+
+/// Lock a lane. A poisoned lock means the helper panicked while it held
+/// the lane.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|_| helper_panicked())
+}
+
+fn helper_panicked() -> ! {
+    panic!("the feeder helper thread panicked; lane states are lost")
+}
+
+/// The running helper thread of a fleet; dropping it stops and joins the
+/// thread.
+struct HelperThread {
+    shared: Arc<FeederShared>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl HelperThread {
+    fn spawn(shared: Arc<FeederShared>) -> HelperThread {
+        let theirs = Arc::clone(&shared);
+        let handle = std::thread::Builder::new()
+            .name("mimic-feeder".into())
+            .spawn(move || {
+                let run = std::panic::AssertUnwindSafe(|| theirs.run_helper());
+                if std::panic::catch_unwind(run).is_err() {
+                    theirs.failed.store(true, Ordering::SeqCst);
+                }
+            })
+            .expect("spawn feeder helper thread");
+        HelperThread {
+            shared,
+            handle: Some(handle),
+        }
+    }
+
+    /// Tell the helper that new rows are queued.
+    fn notify(&self) {
+        self.shared.queued.fetch_add(1, Ordering::SeqCst);
+        if self.shared.sleeping.load(Ordering::SeqCst) {
+            if let Some(h) = &self.handle {
+                h.thread().unpark();
+            }
+        }
+    }
+}
+
+impl Drop for HelperThread {
+    fn drop(&mut self) {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        if let Some(h) = self.handle.take() {
+            h.thread().unpark();
+            // A helper panic was already reported through `failed`.
+            let _ = h.join();
+        }
+    }
+}
 
 /// One (cluster, direction) inference lane.
 struct Lane {
@@ -73,7 +377,8 @@ struct Lane {
 }
 
 /// One direction's lanes across all served clusters (lane `i` belongs to
-/// `clusters[i]`). Model states live in a dense slab so the lane kernel
+/// `clusters[i]`). The lanes' model states live in [`FeederShared`];
+/// `states` is the dense slab a flush moves them into so the lane kernel
 /// can gather/scatter them.
 struct DirFleet {
     lanes: Vec<Lane>,
@@ -86,9 +391,9 @@ struct DirFleet {
 /// lanes; heterogeneous ones group lanes by bundle, batching within each
 /// group (lanes can only share a forward pass when they share weights).
 pub struct BatchedMimicFleet {
-    bundles: Vec<TrainedMimic>,
-    /// `assign[i]` = bundle index of `clusters[i]`.
-    assign: Vec<usize>,
+    /// Bundles, lane states and feeder backlogs, shared with the helper.
+    shared: Arc<FeederShared>,
+    helper: Option<HelperThread>,
     /// Lane indices per bundle group, in stable lane order.
     groups: Vec<Vec<usize>>,
     clusters: Vec<u32>,
@@ -102,6 +407,19 @@ pub struct BatchedMimicFleet {
     // Reused flush buffers (steady state allocates nothing).
     feats: Vec<f32>,
     feat_buf: Vec<f32>,
+    /// One wake's feeder rows per direction, appended to the backlog in
+    /// one locked step.
+    wake_rows: [Vec<f32>; 2],
+    /// Largest backlog seen, in rows (`mimic.feeder.backlog.max`).
+    backlog_max: u64,
+    /// Rows queued since the helper was last notified.
+    unnotified: usize,
+    /// Backlog length at which `on_wake` applies a lane's rows itself:
+    /// `BACKLOG_CAP` with a helper, 1 without, so a helper-less fleet
+    /// steps every wake's rows right away. Deferring them would only
+    /// bunch the work into bursts, which PDES barriers turn into idle
+    /// time on the other partitions.
+    drain_at: usize,
     sel: Vec<usize>,
     rows: Vec<u32>,
     out: Vec<[f32; OUTPUTS]>,
@@ -129,10 +447,17 @@ impl BatchedMimicFleet {
         topo_params: FatTreeParams,
         n_clusters: u32,
         cluster_seeds: &[(u32, u64)],
+        helper: FeederHelper,
     ) -> BatchedMimicFleet {
         let with_bundle: Vec<(u32, usize, u64)> =
             cluster_seeds.iter().map(|&(c, s)| (c, 0, s)).collect();
-        BatchedMimicFleet::new_heterogeneous(vec![bundle], topo_params, n_clusters, &with_bundle)
+        BatchedMimicFleet::new_heterogeneous(
+            vec![bundle],
+            topo_params,
+            n_clusters,
+            &with_bundle,
+            helper,
+        )
     }
 
     /// Heterogeneous fleet: each `(cluster, bundle_index, seed)` entry
@@ -143,6 +468,7 @@ impl BatchedMimicFleet {
         topo_params: FatTreeParams,
         n_clusters: u32,
         cluster_assign: &[(u32, usize, u64)],
+        helper: FeederHelper,
     ) -> BatchedMimicFleet {
         assert!(!bundles.is_empty(), "fleet needs at least one bundle");
         assert!(!cluster_assign.is_empty(), "fleet needs at least one cluster");
@@ -156,7 +482,8 @@ impl BatchedMimicFleet {
         let mut assign = Vec::with_capacity(n_lanes);
         let mut slot = vec![u32::MAX; n_clusters as usize];
         let mut groups = vec![Vec::new(); bundles.len()];
-        let make_dir = |dir: BoundaryDir| {
+        let mut cells: [Vec<LaneCell>; 2] = [Vec::new(), Vec::new()];
+        let mut make_dir = |dir: BoundaryDir| {
             let mut lanes = Vec::with_capacity(n_lanes);
             let mut states = Vec::with_capacity(n_lanes);
             let mut feeders = Vec::with_capacity(n_lanes);
@@ -181,6 +508,14 @@ impl BatchedMimicFleet {
                     cursor: 0,
                 });
                 states.push(model.init_state());
+                cells[dir as usize].push(LaneCell {
+                    inner: Mutex::new(LaneInner {
+                        state: model.init_state(),
+                        rows: Vec::with_capacity(2 * BACKLOG_CAP * width),
+                        claimed: 0,
+                    }),
+                    pending: AtomicUsize::new(0),
+                });
                 feeders.push(Feeder::new(
                     fit.clone(),
                     n_clusters,
@@ -214,9 +549,25 @@ impl BatchedMimicFleet {
         }
         let floor = SimDuration::from_secs_f64(floor_s.max(1e-6));
 
-        BatchedMimicFleet {
+        let shared = Arc::new(FeederShared {
             bundles,
             assign,
+            cells,
+            width,
+            queued: AtomicU64::new(0),
+            sleeping: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+            failed: AtomicBool::new(false),
+            helper_steps: AtomicU64::new(0),
+            inline_steps: AtomicU64::new(0),
+        });
+        let (helper, drain_at) = match helper {
+            FeederHelper::On => (Some(HelperThread::spawn(Arc::clone(&shared))), BACKLOG_CAP),
+            FeederHelper::Off => (None, 1),
+        };
+        BatchedMimicFleet {
+            shared,
+            helper,
             groups,
             slot,
             topo: FatTree::new(topo_params),
@@ -226,6 +577,10 @@ impl BatchedMimicFleet {
             egress,
             feats: vec![0.0; n_lanes * width],
             feat_buf: Vec::with_capacity(width),
+            wake_rows: std::array::from_fn(|_| Vec::with_capacity(BACKLOG_CAP * width)),
+            backlog_max: 0,
+            unnotified: 0,
+            drain_at,
             sel: vec![0; n_lanes],
             rows: vec![0; n_lanes],
             out: vec![[0.0; OUTPUTS]; n_lanes],
@@ -249,7 +604,7 @@ impl BatchedMimicFleet {
     /// whose bundle carries no envelope.
     pub fn with_drift_window(mut self, window: usize) -> BatchedMimicFleet {
         for (li, lane) in self.ingress.lanes.iter_mut().enumerate() {
-            lane.monitor = self.bundles[self.assign[li]]
+            lane.monitor = self.shared.bundles[self.shared.assign[li]]
                 .envelope
                 .clone()
                 .map(|env| DriftMonitor::with_window(env, window));
@@ -330,7 +685,7 @@ impl BatchedMimicFleet {
     /// lane per round), one bundle group at a time.
     fn process_dir(&mut self, dir: BoundaryDir, items: &[BoundaryItem], verdicts: &mut [Verdict]) {
         let BatchedMimicFleet {
-            bundles,
+            shared,
             groups,
             topo,
             mode,
@@ -354,10 +709,10 @@ impl BatchedMimicFleet {
         };
         for (g, group) in groups.iter().enumerate() {
             let model: &InternalModel = match dir {
-                BoundaryDir::Ingress => &bundles[g].ingress,
-                BoundaryDir::Egress => &bundles[g].egress,
+                BoundaryDir::Ingress => &shared.bundles[g].ingress,
+                BoundaryDir::Egress => &shared.bundles[g].egress,
             };
-            let width = bundles[g].feature_cfg.width();
+            let width = shared.width;
             loop {
                 // Gather: head item of every lane with work left.
                 let mut n = 0;
@@ -477,8 +832,29 @@ impl BatchClusterModel for BatchedMimicFleet {
                 }
             }
         }
+        // Move the state of every lane this flush touches into the flush
+        // slab, applying its feeder backlog first. The helper leaves
+        // checked-out lanes alone.
+        for (d, fleet) in [&mut self.ingress, &mut self.egress].into_iter().enumerate() {
+            for (li, lane) in fleet.lanes.iter().enumerate() {
+                if !lane.queue.is_empty() {
+                    let mut inner = self.shared.lane_state(d, li);
+                    inner.claimed = CHECKED_OUT;
+                    std::mem::swap(&mut inner.state, &mut fleet.states[li]);
+                }
+            }
+        }
         self.process_dir(BoundaryDir::Ingress, items, verdicts);
         self.process_dir(BoundaryDir::Egress, items, verdicts);
+        for (d, fleet) in [&mut self.ingress, &mut self.egress].into_iter().enumerate() {
+            for (li, lane) in fleet.lanes.iter().enumerate() {
+                if !lane.queue.is_empty() {
+                    let mut inner = lock(&self.shared.cells[d][li].inner);
+                    std::mem::swap(&mut inner.state, &mut fleet.states[li]);
+                    inner.claimed = 0;
+                }
+            }
+        }
     }
 
     fn latency_floor(&self) -> SimDuration {
@@ -501,30 +877,43 @@ impl BatchClusterModel for BatchedMimicFleet {
     }
 
     fn on_wake(&mut self, cluster: u32, now: SimTime) {
+        if self.shared.failed.load(Ordering::Relaxed) {
+            helper_panicked();
+        }
         let li = self.slot[cluster as usize] as usize;
-        let g = self.assign[li];
+        // Fire and extract on this thread, in the exact interleaving of
+        // inline stepping (both are order-sensitive); only the state-only
+        // LSTM steps are deferred to the lanes' backlogs.
         loop {
             let mut fired = false;
-            if let Some(v) = self.ingress.feeders[li].fire(now) {
-                let lane = &mut self.ingress.lanes[li];
-                lane.fx.extract_into(&v, &mut self.feat_buf);
-                self.bundles[g]
-                    .ingress
-                    .update_only(&self.feat_buf, &mut self.ingress.states[li]);
-                self.feeder_packets += 1;
-                fired = true;
-            }
-            if let Some(v) = self.egress.feeders[li].fire(now) {
-                let lane = &mut self.egress.lanes[li];
-                lane.fx.extract_into(&v, &mut self.feat_buf);
-                self.bundles[g]
-                    .egress
-                    .update_only(&self.feat_buf, &mut self.egress.states[li]);
-                self.feeder_packets += 1;
-                fired = true;
+            for (d, fleet) in [&mut self.ingress, &mut self.egress].into_iter().enumerate() {
+                if let Some(v) = fleet.feeders[li].fire(now) {
+                    fleet.lanes[li].fx.extract_into(&v, &mut self.feat_buf);
+                    self.wake_rows[d].extend_from_slice(&self.feat_buf);
+                    self.feeder_packets += 1;
+                    fired = true;
+                }
             }
             if !fired {
                 break;
+            }
+        }
+        for d in 0..2 {
+            if self.wake_rows[d].is_empty() {
+                continue;
+            }
+            let pending = self.shared.push_rows(d, li, &self.wake_rows[d]);
+            self.unnotified += self.wake_rows[d].len() / self.shared.width;
+            self.wake_rows[d].clear();
+            self.backlog_max = self.backlog_max.max(pending as u64);
+            if pending >= self.drain_at {
+                drop(self.shared.lane_state(d, li));
+            }
+        }
+        if let Some(helper) = &self.helper {
+            if self.unnotified >= WAKE_ROWS {
+                self.unnotified = 0;
+                helper.notify();
             }
         }
     }
@@ -541,8 +930,9 @@ impl BatchClusterModel for BatchedMimicFleet {
         // Flush buffers (per-lane queues/cursors, feats/out/raw, scratch)
         // are transient within one infer_batch call; the engine settles
         // every pending batch before snapshotting, so only durable lane
-        // state is written.
-        for fleet in [&self.ingress, &self.egress] {
+        // state is written. Feeder backlogs are applied first, so the
+        // written state has seen every fired feeder packet.
+        for (d, fleet) in [&self.ingress, &self.egress].into_iter().enumerate() {
             w.put_u64(fleet.lanes.len() as u64);
             for (li, lane) in fleet.lanes.iter().enumerate() {
                 lane.fx.save_state(w);
@@ -562,7 +952,7 @@ impl BatchClusterModel for BatchedMimicFleet {
                 if let Some(mon) = &lane.monitor {
                     mon.save_state(w);
                 }
-                save_model_state(&fleet.states[li], w);
+                save_model_state(&self.shared.lane_state(d, li).state, w);
                 fleet.feeders[li].save_state(w);
             }
         }
@@ -577,7 +967,7 @@ impl BatchClusterModel for BatchedMimicFleet {
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        for fleet in [&mut self.ingress, &mut self.egress] {
+        for (d, fleet) in [&mut self.ingress, &mut self.egress].into_iter().enumerate() {
             let n = r.get_u64()? as usize;
             if n != fleet.lanes.len() {
                 return Err(SnapshotError::Corrupt(format!(
@@ -603,7 +993,9 @@ impl BatchClusterModel for BatchedMimicFleet {
                 if let Some(mon) = &mut lane.monitor {
                     mon.load_state(r)?;
                 }
-                load_model_state(&mut fleet.states[li], r)?;
+                let mut inner = self.shared.lane_state(d, li);
+                load_model_state(&mut inner.state, r)?;
+                drop(inner);
                 fleet.feeders[li].load_state(r)?;
                 lane.queue.clear();
                 lane.cursor = 0;
@@ -637,5 +1029,192 @@ impl BatchClusterModel for BatchedMimicFleet {
             .entry("mimic.flush.lane_occupancy".into())
             .or_default()
             .merge(&self.lane_occupancy);
+        // Where the feeder LSTM steps ran. Rows still queued when the run
+        // ends are never applied: nothing reads those states again.
+        *out.counters
+            .entry("mimic.feeder.helper_steps".into())
+            .or_insert(0) += self.shared.helper_steps.load(Ordering::Relaxed);
+        *out.counters
+            .entry("mimic.feeder.inline_steps".into())
+            .or_insert(0) += self.shared.inline_steps.load(Ordering::Relaxed);
+        let max = out.gauges.entry("mimic.feeder.backlog.max".into()).or_insert(0.0);
+        *max = max.max(self.backlog_max as f64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::datagen::{generate, DataGenConfig};
+    use mimic_ml::train::TrainConfig;
+    use std::sync::OnceLock;
+
+    fn bundle() -> &'static (TrainedMimic, FatTreeParams) {
+        static BUNDLE: OnceLock<(TrainedMimic, FatTreeParams)> = OnceLock::new();
+        BUNDLE.get_or_init(|| {
+            let mut cfg = DataGenConfig::default();
+            cfg.sim.duration_s = 0.3;
+            cfg.sim.seed = 77;
+            let td = generate(&cfg);
+            let tc = TrainConfig {
+                epochs: 1,
+                window: 4,
+                ..TrainConfig::default()
+            };
+            let (ingress, _) = InternalModel::train_new(&td.ingress, td.ingress_disc, 8, &tc)
+                .expect("valid training setup");
+            let (egress, _) = InternalModel::train_new(&td.egress, td.egress_disc, 8, &tc)
+                .expect("valid training setup");
+            let mut topo = cfg.sim.topo;
+            topo.clusters = 4;
+            let trained = TrainedMimic {
+                ingress,
+                egress,
+                feature_cfg: td.feature_cfg,
+                feeder: td.feeder,
+                envelope: None,
+            };
+            (trained, topo)
+        })
+    }
+
+    fn fleet(helper: FeederHelper) -> BatchedMimicFleet {
+        let (trained, topo) = bundle();
+        let seeds: Vec<(u32, u64)> = (1..4).map(|c| (c, 500 + c as u64)).collect();
+        BatchedMimicFleet::new(trained.clone(), *topo, 4, &seeds, helper)
+    }
+
+    /// A fleet whose backlogs fill as if a helper existed but never ran.
+    fn unhelped_fleet() -> BatchedMimicFleet {
+        let mut f = fleet(FeederHelper::Off);
+        f.drain_at = BACKLOG_CAP;
+        f
+    }
+
+    /// Fire `wakes` feeder wakes on every cluster, as the engine would.
+    fn drive(fleet: &mut BatchedMimicFleet, clock: &mut [SimTime; 4], wakes: usize) {
+        for _ in 0..wakes {
+            for c in 1..4u32 {
+                if let Some(t) = fleet.next_wake(c, clock[c as usize]) {
+                    clock[c as usize] = t;
+                    fleet.on_wake(c, t);
+                }
+            }
+        }
+    }
+
+    /// Every lane's state bits, after the event thread drained its backlog.
+    fn state_bits(fleet: &BatchedMimicFleet) -> Vec<u32> {
+        let mut bits = Vec::new();
+        for d in 0..2 {
+            for li in 0..fleet.clusters.len() {
+                let inner = fleet.shared.lane_state(d, li);
+                for layer in &inner.state.layers {
+                    bits.extend(layer.h.data.iter().chain(&layer.c.data).map(|x| x.to_bits()));
+                }
+            }
+        }
+        bits
+    }
+
+    fn pending(fleet: &BatchedMimicFleet) -> usize {
+        let cells = fleet.shared.cells.iter().flatten();
+        cells.map(|c| c.pending.load(Ordering::Relaxed)).sum()
+    }
+
+    #[test]
+    fn backlogs_match_inline_stepping_at_the_cap_and_on_the_helper() {
+        // `deferred` lets rows pile up until the cap forces an inline
+        // drain; `stepped` (no helper) applies every wake's rows right
+        // away, the sequence of stepping each feeder packet inline;
+        // `helped` hands them to the helper thread.
+        let mut deferred = unhelped_fleet();
+        let mut stepped = fleet(FeederHelper::Off);
+        let mut helped = fleet(FeederHelper::On);
+        let mut clocks = [[SimTime::ZERO; 4]; 3];
+        let mut wakes = 0;
+        while deferred.backlog_max < BACKLOG_CAP as u64 {
+            assert!(wakes < 5_000, "feeders never filled a backlog to the cap");
+            drive(&mut deferred, &mut clocks[0], 1);
+            drive(&mut stepped, &mut clocks[1], 1);
+            drive(&mut helped, &mut clocks[2], 1);
+            assert_eq!(pending(&stepped), 0, "a helper-less fleet deferred rows");
+            for cell in deferred.shared.cells.iter().flatten() {
+                assert!(cell.pending.load(Ordering::Relaxed) < BACKLOG_CAP, "cap not enforced");
+            }
+            wakes += 1;
+        }
+        let inline_at_cap = deferred.shared.inline_steps.load(Ordering::Relaxed);
+        assert!(inline_at_cap >= BACKLOG_CAP as u64, "a full backlog was not drained inline");
+        assert_eq!(deferred.shared.helper_steps.load(Ordering::Relaxed), 0);
+        // Leave rows queued that no thread has reached, then let the event
+        // thread take the lanes: the states must equal inline stepping.
+        drive(&mut deferred, &mut clocks[0], 3);
+        drive(&mut stepped, &mut clocks[1], 3);
+        drive(&mut helped, &mut clocks[2], 3);
+        assert!(pending(&deferred) > 0, "no backlog left to drain");
+        let reference = state_bits(&stepped);
+        assert_eq!(state_bits(&deferred), reference, "event-thread drain diverged");
+        assert_eq!(state_bits(&helped), reference, "helper-applied backlog diverged");
+        assert_eq!(deferred.feeder_packets, stepped.feeder_packets);
+        assert_eq!(helped.feeder_packets, stepped.feeder_packets);
+    }
+
+    #[test]
+    fn checkpoint_with_queued_backlogs_resumes_identically() {
+        let mut original = unhelped_fleet();
+        let mut clock = [SimTime::ZERO; 4];
+        drive(&mut original, &mut clock, 20);
+        assert!(pending(&original) > 0, "no backlog queued at the checkpoint");
+        let mut w = SnapWriter::new();
+        original.save_state(&mut w).expect("fleet snapshots");
+        let bytes = w.into_bytes();
+
+        let mut restored = fleet(FeederHelper::On);
+        restored
+            .load_state(&mut SnapReader::new(&bytes))
+            .expect("fleet restores");
+        let mut restored_clock = clock;
+        drive(&mut original, &mut clock, 20);
+        drive(&mut restored, &mut restored_clock, 20);
+        let snap = |f: &BatchedMimicFleet| {
+            let mut w = SnapWriter::new();
+            f.save_state(&mut w).expect("fleet snapshots");
+            w.into_bytes()
+        };
+        assert_eq!(snap(&original), snap(&restored), "resumed fleet diverged");
+    }
+
+    #[test]
+    fn helper_panic_surfaces_on_the_event_thread() {
+        let mut fleet = unhelped_fleet();
+        // A row width that does not match the model makes the helper's
+        // `update_only` assert.
+        Arc::get_mut(&mut fleet.shared).expect("no helper yet").width += 1;
+        fleet.helper = Some(HelperThread::spawn(Arc::clone(&fleet.shared)));
+        let mut clock = [SimTime::ZERO; 4];
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !fleet.shared.failed.load(Ordering::SeqCst) {
+            assert!(std::time::Instant::now() < deadline, "the helper never ran");
+            // Keep every lane below the cap, where the event thread would
+            // apply (and trip over) the rows itself.
+            let deepest = fleet.shared.cells.iter().flatten();
+            if deepest.map(|c| c.pending.load(Ordering::Relaxed)).max() < Some(BACKLOG_CAP / 2) {
+                drive(&mut fleet, &mut clock, 1);
+            }
+            std::thread::yield_now();
+        }
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            drive(&mut fleet, &mut clock, 1)
+        }))
+        .expect_err("the event thread carried on after the helper panicked");
+        let msg = err
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(msg.contains("feeder helper"), "unexpected panic: {msg}");
+        // Dropping the fleet joins the dead helper without hanging.
+        drop(fleet);
     }
 }

@@ -40,8 +40,48 @@ use mimicnet::pipeline::{Pipeline, PipelineConfig};
 use mimicnet::tuning::{tune, TuningConfig};
 use mimicnet::{AccuracyBudget, CorrectionHead};
 use std::collections::HashMap;
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::str::FromStr;
+
+/// A command line that cannot run: `--flag value` where `value` is not
+/// what the flag takes. `main` reports it on one line and exits with the
+/// usage status, 2.
+#[derive(Debug)]
+struct UsageError {
+    flag: String,
+    value: String,
+    expected: &'static str,
+}
+
+impl fmt::Display for UsageError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let UsageError {
+            flag,
+            value,
+            expected,
+        } = self;
+        write!(f, "--{flag} must be {expected}, got {value:?}")
+    }
+}
+
+/// The parsed value of `--key`, if the flag was given.
+fn flag<T: FromStr>(
+    opts: &HashMap<String, String>,
+    key: &str,
+    expected: &'static str,
+) -> Result<Option<T>, UsageError> {
+    opts.get(key)
+        .map(|v| {
+            v.parse().map_err(|_| UsageError {
+                flag: key.to_string(),
+                value: v.clone(),
+                expected,
+            })
+        })
+        .transpose()
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -110,14 +150,11 @@ fn parse_args(args: &[String]) -> HashMap<String, String> {
     map
 }
 
-fn protocol_from(opts: &HashMap<String, String>) -> Protocol {
-    match opts.get("protocol").map(|s| s.as_str()).unwrap_or("newreno") {
+fn protocol_from(opts: &HashMap<String, String>) -> Result<Protocol, UsageError> {
+    Ok(match opts.get("protocol").map(|s| s.as_str()).unwrap_or("newreno") {
         "newreno" => Protocol::NewReno,
         "dctcp" => Protocol::Dctcp {
-            k: opts
-                .get("k")
-                .map(|v| v.parse().expect("--k must be an integer"))
-                .unwrap_or(20),
+            k: flag(opts, "k", "an integer")?.unwrap_or(20),
         },
         "vegas" => Protocol::Vegas,
         "westwood" => Protocol::Westwood,
@@ -126,36 +163,36 @@ fn protocol_from(opts: &HashMap<String, String>) -> Protocol {
             eprintln!("unknown protocol: {other}");
             usage();
         }
-    }
+    })
 }
 
-fn pipeline_from(opts: &HashMap<String, String>) -> PipelineConfig {
+fn pipeline_from(opts: &HashMap<String, String>) -> Result<PipelineConfig, UsageError> {
     let mut cfg = PipelineConfig {
-        protocol: protocol_from(opts),
+        protocol: protocol_from(opts)?,
         ..PipelineConfig::default()
     };
-    if let Some(d) = opts.get("duration") {
-        cfg.base.duration_s = d.parse().expect("--duration must be a number");
+    if let Some(d) = flag(opts, "duration", "a number")? {
+        cfg.base.duration_s = d;
     }
-    if let Some(s) = opts.get("seed") {
-        cfg.base.seed = s.parse().expect("--seed must be an integer");
+    if let Some(s) = flag(opts, "seed", "an integer")? {
+        cfg.base.seed = s;
     }
-    if let Some(e) = opts.get("epochs") {
-        cfg.train.epochs = e.parse().expect("--epochs must be an integer");
+    if let Some(e) = flag(opts, "epochs", "an integer")? {
+        cfg.train.epochs = e;
     }
-    if let Some(h) = opts.get("hidden") {
-        cfg.hidden = h.parse().expect("--hidden must be an integer");
+    if let Some(h) = flag(opts, "hidden", "an integer")? {
+        cfg.hidden = h;
     }
-    if let Some(l) = opts.get("layers") {
-        cfg.layers = l.parse().expect("--layers must be an integer");
+    if let Some(l) = flag(opts, "layers", "an integer")? {
+        cfg.layers = l;
     }
-    if let Some(w) = opts.get("window") {
-        cfg.train.window = w.parse().expect("--window must be an integer");
+    if let Some(w) = flag(opts, "window", "an integer")? {
+        cfg.train.window = w;
     }
-    if let Some(w) = opts.get("workers") {
-        cfg.train.workers = w.parse().expect("--workers must be an integer");
+    if let Some(w) = flag(opts, "workers", "an integer")? {
+        cfg.train.workers = w;
     }
-    cfg
+    Ok(cfg)
 }
 
 fn load_model(opts: &HashMap<String, String>) -> TrainedMimic {
@@ -173,43 +210,40 @@ fn load_model(opts: &HashMap<String, String>) -> TrainedMimic {
     })
 }
 
-fn clusters_from(opts: &HashMap<String, String>) -> u32 {
-    let raw = opts.get("clusters").unwrap_or_else(|| {
-        eprintln!("--clusters is required");
-        usage();
-    });
-    let n: u32 = raw.parse().unwrap_or_else(|_| {
-        eprintln!("error: --clusters must be an integer, got {raw:?}");
-        std::process::exit(2);
-    });
-    if n < 2 {
-        eprintln!("error: a composition needs at least two clusters, got {n}");
-        std::process::exit(2);
+fn clusters_from(opts: &HashMap<String, String>) -> Result<u32, UsageError> {
+    const EXPECTED: &str = "an integer of at least 2 (a composition needs two clusters)";
+    match flag::<u32>(opts, "clusters", EXPECTED)? {
+        None => {
+            eprintln!("--clusters is required");
+            usage();
+        }
+        Some(n) if n < 2 => Err(UsageError {
+            flag: "clusters".into(),
+            value: n.to_string(),
+            expected: EXPECTED,
+        }),
+        Some(n) => Ok(n),
     }
-    n
 }
 
 /// Parse the crash-resilience flags shared by `estimate` and `validate`.
 /// Returns `None` when none were given, which keeps the in-process engine
 /// (with fault/obs support) on the default path.
-fn resumable_from(
-    opts: &HashMap<String, String>,
-) -> Option<(usize, Option<CheckpointPlan>, Option<PathBuf>)> {
+type Resumable = (usize, Option<CheckpointPlan>, Option<PathBuf>);
+
+fn resumable_from(opts: &HashMap<String, String>) -> Result<Option<Resumable>, UsageError> {
     if !opts.contains_key("partitions")
         && !opts.contains_key("checkpoint-every")
         && !opts.contains_key("resume")
     {
-        return None;
+        return Ok(None);
     }
-    let partitions: usize = opts
-        .get("partitions")
-        .map(|v| v.parse().expect("--partitions must be a positive integer"))
-        .unwrap_or(1);
+    let partitions: usize = flag(opts, "partitions", "a positive integer")?.unwrap_or(1);
     let resume = opts.get("resume").map(PathBuf::from);
-    let plan = opts.get("checkpoint-every").map(|s| {
-        let secs: f64 = s
-            .parse()
-            .expect("--checkpoint-every must be a number of simulated seconds");
+    let every: Option<f64> =
+        flag(opts, "checkpoint-every", "a number of simulated seconds")?;
+    let keep = flag(opts, "keep-generations", "a positive integer")?.unwrap_or(1);
+    let plan = every.map(|secs| {
         // Checkpoints land next to whatever we resume from unless told
         // otherwise, so a crash-restart loop keeps using one directory.
         let dir = opts
@@ -217,26 +251,22 @@ fn resumable_from(
             .map(PathBuf::from)
             .or_else(|| resume.clone())
             .unwrap_or_else(|| PathBuf::from("mimicnet-ckpt"));
-        let keep = opts
-            .get("keep-generations")
-            .map(|v| v.parse().expect("--keep-generations must be a positive integer"))
-            .unwrap_or(1);
         CheckpointPlan { dir, every: SimDuration::from_secs_f64(secs), keep }
     });
-    Some((partitions.max(1), plan, resume))
+    Ok(Some((partitions.max(1), plan, resume)))
 }
 
 /// Parse the diagnostics flags (state digests, flight recorder, SLO
 /// tripwires, early stop) into `o`. Returns whether any were given —
 /// callers use that to route onto the full-options engine path.
-fn diag_flags_into(o: &mut PdesRunOpts, opts: &HashMap<String, String>) -> bool {
+fn diag_flags_into(
+    o: &mut PdesRunOpts,
+    opts: &HashMap<String, String>,
+) -> Result<bool, UsageError> {
     let mut any = false;
     if opts.contains_key("digests") || opts.contains_key("digest-stride") {
-        o.digest_stride = Some(
-            opts.get("digest-stride")
-                .map(|v| v.parse().expect("--digest-stride must be a positive integer"))
-                .unwrap_or(1),
-        );
+        o.digest_stride =
+            Some(flag(opts, "digest-stride", "a positive integer")?.unwrap_or(1));
         any = true;
     }
     if ["flight", "flight-dump", "slo-events-per-sec", "slo-max-drift"]
@@ -244,34 +274,26 @@ fn diag_flags_into(o: &mut PdesRunOpts, opts: &HashMap<String, String>) -> bool 
         .any(|k| opts.contains_key(*k))
     {
         o.flight = Some(FlightPlan {
-            capacity: opts
-                .get("flight")
-                .map(|v| v.parse().expect("--flight must be a positive integer"))
-                .unwrap_or(4096),
+            capacity: flag(opts, "flight", "a positive integer")?.unwrap_or(4096),
             dump_dir: opts.get("flight-dump").map(PathBuf::from),
-            min_events_per_sec: opts
-                .get("slo-events-per-sec")
-                .map(|v| v.parse().expect("--slo-events-per-sec must be a number")),
-            max_drift: opts
-                .get("slo-max-drift")
-                .map(|v| v.parse().expect("--slo-max-drift must be a number")),
+            min_events_per_sec: flag(opts, "slo-events-per-sec", "a number")?,
+            max_drift: flag(opts, "slo-max-drift", "a number")?,
         });
         any = true;
     }
-    if let Some(v) = opts.get("stop-at") {
-        let secs: f64 = v.parse().expect("--stop-at must be simulated seconds");
+    if let Some(secs) = flag(opts, "stop-at", "a number of simulated seconds")? {
         o.stop_at = Some(SimTime::from_secs_f64(secs));
         any = true;
     }
-    if let Some(v) = opts.get("crash-at-window") {
-        o.crash_at_window = Some(v.parse().expect("--crash-at-window must be an integer"));
+    if let Some(w) = flag(opts, "crash-at-window", "an integer")? {
+        o.crash_at_window = Some(w);
         any = true;
     }
     if let Some(g) = opts.get("resume-generation") {
         o.resume_generation = Some(g.clone());
         any = true;
     }
-    any
+    Ok(any)
 }
 
 /// Print the error, flush whatever telemetry the pipeline gathered (so a
@@ -288,19 +310,19 @@ fn die_with_obs(
 }
 
 /// Parse the adaptive-tier accuracy budget flags.
-fn budget_from(opts: &HashMap<String, String>) -> AccuracyBudget {
+fn budget_from(opts: &HashMap<String, String>) -> Result<AccuracyBudget, UsageError> {
     let mut b = AccuracyBudget::default();
-    if let Some(v) = opts.get("promote-above") {
-        b.promote_above = v.parse().expect("--promote-above must be a number");
+    if let Some(v) = flag(opts, "promote-above", "a number")? {
+        b.promote_above = v;
     }
-    if let Some(v) = opts.get("demote-below") {
-        b.demote_below = v.parse().expect("--demote-below must be a number");
+    if let Some(v) = flag(opts, "demote-below", "a number")? {
+        b.demote_below = v;
     }
-    if let Some(v) = opts.get("tier-patience") {
-        b.patience = v.parse().expect("--tier-patience must be an integer");
+    if let Some(v) = flag(opts, "tier-patience", "an integer")? {
+        b.patience = v;
     }
-    if let Some(v) = opts.get("max-above-flow") {
-        b.max_above_flow = v.parse().expect("--max-above-flow must be an integer");
+    if let Some(v) = flag(opts, "max-above-flow", "an integer")? {
+        b.max_above_flow = v;
     }
     if let Some(v) = opts.get("tier-start") {
         b.start = match v.as_str() {
@@ -312,7 +334,14 @@ fn budget_from(opts: &HashMap<String, String>) -> AccuracyBudget {
             }
         };
     }
-    b
+    Ok(b)
+}
+
+/// The adaptive-tier epoch plan (`--tier-every`).
+fn tier_plan_from(opts: &HashMap<String, String>) -> Result<TierPlan, UsageError> {
+    Ok(TierPlan {
+        every_windows: flag(opts, "tier-every", "a positive integer")?.unwrap_or(64),
+    })
 }
 
 /// Load the optional Flow-tier correction head.
@@ -357,12 +386,12 @@ fn export_obs(pipe: &mut Pipeline, opts: &HashMap<String, String>) {
     }
 }
 
-fn cmd_train(opts: HashMap<String, String>) {
+fn cmd_train(opts: HashMap<String, String>) -> Result<(), UsageError> {
     let out = opts.get("out").cloned().unwrap_or_else(|| {
         eprintln!("--out is required");
         usage();
     });
-    let cfg = pipeline_from(&opts);
+    let cfg = pipeline_from(&opts)?;
     eprintln!(
         "training {} on a {}-cluster x {:.2}s small-scale run (seed {})...",
         cfg.protocol.name(),
@@ -410,26 +439,25 @@ fn cmd_train(opts: HashMap<String, String>) {
         pipe.timings.training
     );
     export_obs(&mut pipe, &opts);
+    Ok(())
 }
 
-fn cmd_estimate(opts: HashMap<String, String>) {
+fn cmd_estimate(opts: HashMap<String, String>) -> Result<(), UsageError> {
+    let n = clusters_from(&opts)?;
+    let mut pipe = Pipeline::new(pipeline_from(&opts)?);
+    let mut run_opts = PdesRunOpts::default();
+    let diag = diag_flags_into(&mut run_opts, &opts)?;
+    let resumable = resumable_from(&opts)?;
+    let adaptive = if opts.contains_key("adaptive") {
+        Some((budget_from(&opts)?, tier_plan_from(&opts)?))
+    } else {
+        None
+    };
     let trained = load_model(&opts);
-    let n = clusters_from(&opts);
-    let mut pipe = Pipeline::new(pipeline_from(&opts));
     if obs_requested(&opts) {
         pipe = pipe.with_obs();
     }
-    let mut run_opts = PdesRunOpts::default();
-    let diag = diag_flags_into(&mut run_opts, &opts);
-    let resumable = resumable_from(&opts);
-    let est = if opts.contains_key("adaptive") {
-        let budget = budget_from(&opts);
-        let plan = TierPlan {
-            every_windows: opts
-                .get("tier-every")
-                .map(|v| v.parse().expect("--tier-every must be a positive integer"))
-                .unwrap_or(64),
-        };
+    let est = if let Some((budget, plan)) = adaptive {
         // Adaptive runs honor the same crash-resilience and diagnostics
         // flags as the plain partitioned path.
         let (partitions, ckpt, resume) = resumable.unwrap_or((1, None, None));
@@ -496,19 +524,20 @@ fn cmd_estimate(opts: HashMap<String, String>) {
         println!("  tput p99 {:.0} B/s", est.throughput_p99);
     }
     export_obs(&mut pipe, &opts);
+    Ok(())
 }
 
-fn cmd_validate(opts: HashMap<String, String>) {
+fn cmd_validate(opts: HashMap<String, String>) -> Result<(), UsageError> {
+    let n = clusters_from(&opts)?;
+    let mut pipe = Pipeline::new(pipeline_from(&opts)?);
+    let mut run_opts = PdesRunOpts::default();
+    let diag = diag_flags_into(&mut run_opts, &opts)?;
+    let resumable = resumable_from(&opts)?;
     let trained = load_model(&opts);
-    let n = clusters_from(&opts);
-    let mut pipe = Pipeline::new(pipeline_from(&opts));
     if obs_requested(&opts) {
         pipe = pipe.with_obs();
     }
     eprintln!("running MimicNet and full-fidelity at {n} clusters...");
-    let mut run_opts = PdesRunOpts::default();
-    let diag = diag_flags_into(&mut run_opts, &opts);
-    let resumable = resumable_from(&opts);
     let (report, mimic_wall, truth_wall) = if resumable.is_some() || diag {
         let (partitions, ckpt, resume) = resumable.unwrap_or((1, None, None));
         run_opts.checkpoint = ckpt;
@@ -541,6 +570,7 @@ fn cmd_validate(opts: HashMap<String, String>) {
         truth_wall.as_secs_f64() / mimic_wall.as_secs_f64().max(1e-9)
     );
     export_obs(&mut pipe, &opts);
+    Ok(())
 }
 
 /// `mimicnet diverge`: localize where two digested runs first disagree.
@@ -548,7 +578,7 @@ fn cmd_validate(opts: HashMap<String, String>) {
 /// `--clusters` it also replays both sides from the nearest common
 /// checkpoint with full tracing and reports the first diverging event.
 /// Exit codes: 0 = timelines agree, 3 = divergence found, 1/2 = error.
-fn cmd_diverge(opts: HashMap<String, String>) {
+fn cmd_diverge(opts: HashMap<String, String>) -> Result<(), UsageError> {
     let obs_path = |key: &str| -> String {
         opts.get(key).cloned().unwrap_or_else(|| {
             eprintln!("--{key} OBS.json is required (the run's --obs-out snapshot)");
@@ -576,27 +606,19 @@ fn cmd_diverge(opts: HashMap<String, String>) {
     let trained = replay_ready.then(|| load_model(&opts));
     let result = match &trained {
         Some(trained) => {
+            let adaptive = if opts.contains_key("adaptive") {
+                let plan = tier_plan_from(&opts)?;
+                Some((budget_from(&opts)?, plan, correction_from(&opts)))
+            } else {
+                None
+            };
             let cfg = ReplayConfig {
-                pipeline_cfg: pipeline_from(&opts),
+                pipeline_cfg: pipeline_from(&opts)?,
                 trained,
-                n_clusters: clusters_from(&opts),
-                partitions: opts
-                    .get("partitions")
-                    .map(|v| v.parse().expect("--partitions must be a positive integer"))
-                    .unwrap_or(1),
-                flight_capacity: opts
-                    .get("flight")
-                    .map(|v| v.parse().expect("--flight must be a positive integer"))
-                    .unwrap_or(65_536),
-                adaptive: opts.contains_key("adaptive").then(|| {
-                    let plan = TierPlan {
-                        every_windows: opts
-                            .get("tier-every")
-                            .map(|v| v.parse().expect("--tier-every must be a positive integer"))
-                            .unwrap_or(64),
-                    };
-                    (budget_from(&opts), plan, correction_from(&opts))
-                }),
+                n_clusters: clusters_from(&opts)?,
+                partitions: flag(&opts, "partitions", "a positive integer")?.unwrap_or(1),
+                flight_capacity: flag(&opts, "flight", "a positive integer")?.unwrap_or(65_536),
+                adaptive,
             };
             let side_a = ReplaySide { ckpt_dir: Path::new(&opts["a-ckpt"]), label: "A" };
             let side_b = ReplaySide { ckpt_dir: Path::new(&opts["b-ckpt"]), label: "B" };
@@ -618,6 +640,7 @@ fn cmd_diverge(opts: HashMap<String, String>) {
         }
         Ok(None) => {
             println!("no divergence: the two digest timelines agree over their whole overlap");
+            Ok(())
         }
         Ok(Some(report)) => {
             print!("{}", diverge::render_report(&report));
@@ -637,19 +660,17 @@ fn cmd_diverge(opts: HashMap<String, String>) {
 
 /// `mimicnet snap-flip`: flip one restorable state bit in a checkpoint
 /// snapshot (re-framed with a valid checksum) to seed a divergence.
-fn cmd_snap_flip(opts: HashMap<String, String>) {
+fn cmd_snap_flip(opts: HashMap<String, String>) -> Result<(), UsageError> {
+    let n = clusters_from(&opts)?;
+    let part = flag(&opts, "part", "an integer")?.unwrap_or(0);
+    let cfg = pipeline_from(&opts)?;
     let trained = load_model(&opts);
-    let n = clusters_from(&opts);
     let ckpt = PathBuf::from(opts.get("ckpt").cloned().unwrap_or_else(|| {
         eprintln!("--ckpt DIR is required");
         usage();
     }));
-    let part = opts
-        .get("part")
-        .map(|v| v.parse().expect("--part must be an integer"))
-        .unwrap_or(0);
     let generation = opts.get("generation").map(String::as_str);
-    match diverge::snap_flip(&pipeline_from(&opts), &trained, n, &ckpt, part, generation) {
+    match diverge::snap_flip(&cfg, &trained, n, &ckpt, part, generation) {
         Ok(r) => println!(
             "flipped bit 0 of payload byte {} in {} (restored digest {:#018x} -> {:#018x})",
             r.offset,
@@ -662,28 +683,28 @@ fn cmd_snap_flip(opts: HashMap<String, String>) {
             exit(1);
         }
     }
+    Ok(())
 }
 
-fn cmd_tune(opts: HashMap<String, String>) {
-    let cfg = pipeline_from(&opts);
+fn cmd_tune(opts: HashMap<String, String>) -> Result<(), UsageError> {
+    let cfg = pipeline_from(&opts)?;
+    let scales = match opts.get("scales") {
+        Some(v) => v
+            .split(',')
+            .map(|s| s.parse())
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|_| UsageError {
+                flag: "scales".into(),
+                value: v.clone(),
+                expected: "comma-separated integers",
+            })?,
+        None => vec![2, 4],
+    };
     let tcfg = TuningConfig {
-        evals: opts
-            .get("evals")
-            .map(|v| v.parse().expect("--evals must be an integer"))
-            .unwrap_or(8),
-        scales: opts
-            .get("scales")
-            .map(|v| {
-                v.split(',')
-                    .map(|s| s.parse().expect("--scales must be integers"))
-                    .collect()
-            })
-            .unwrap_or_else(|| vec![2, 4]),
+        evals: flag(&opts, "evals", "an integer")?.unwrap_or(8),
+        scales,
         seed: cfg.base.seed ^ 0x7A7E,
-        workers: opts
-            .get("workers")
-            .map(|v| v.parse().expect("--workers must be an integer"))
-            .unwrap_or(1),
+        workers: flag(&opts, "workers", "an integer")?.unwrap_or(1),
     };
     eprintln!(
         "Bayesian-optimizing {} evaluations over scales {:?}...",
@@ -705,6 +726,7 @@ fn cmd_tune(opts: HashMap<String, String>) {
             p.wbce_w, p.huber_delta, p.lr, p.hidden, p.window
         );
     }
+    Ok(())
 }
 
 fn main() {
@@ -713,7 +735,7 @@ fn main() {
         usage();
     };
     let opts = parse_args(rest);
-    match cmd.as_str() {
+    let run = match cmd.as_str() {
         "train" => cmd_train(opts),
         "estimate" => cmd_estimate(opts),
         "validate" => cmd_validate(opts),
@@ -721,5 +743,9 @@ fn main() {
         "diverge" => cmd_diverge(opts),
         "snap-flip" => cmd_snap_flip(opts),
         _ => usage(),
+    };
+    if let Err(e) = run {
+        eprintln!("error: {e}");
+        exit(2);
     }
 }

@@ -5,7 +5,7 @@
 //! Aside from the number of clusters, all other parameters are kept
 //! constant from the small-scale to the final simulation."
 
-use crate::batch::BatchedMimicFleet;
+use crate::batch::{BatchedMimicFleet, FeederHelper};
 use crate::degrade::AccuracyBudget;
 use crate::error::{ComposeRunError, PipelineError};
 use crate::mimic::{LearnedMimic, TrainedMimic};
@@ -13,9 +13,7 @@ use crate::tier::{AdaptiveFleet, CorrectionHead};
 use dcn_sim::config::SimConfig;
 use dcn_sim::instrument::Metrics;
 use dcn_sim::mimic::BatchClusterModel;
-use dcn_sim::pdes::{
-    run_partitioned_opts, run_partitioned_setup, CheckpointPlan, PdesRunOpts, TierPlan,
-};
+use dcn_sim::pdes::{run_partitioned_opts, CheckpointPlan, PdesRunOpts, TierPlan};
 use dcn_sim::simulator::Simulation;
 use dcn_sim::topology::{FatTree, NodeId};
 use dcn_transport::Protocol;
@@ -125,6 +123,8 @@ pub fn compose_batched(
 }
 
 /// [`compose_batched`], surfacing invalid input as [`PipelineError`].
+/// The fleet gets a feeder helper when the host has a core to spare
+/// ([`FeederHelper::for_partitions`]).
 pub fn try_compose_batched(
     base: SimConfig,
     n_clusters: u32,
@@ -132,25 +132,8 @@ pub fn try_compose_batched(
     trained: &TrainedMimic,
 ) -> Result<Simulation, PipelineError> {
     let (cfg, mut sim) = composed_engine(base, n_clusters, protocol)?;
-    sim.set_batch_model(Box::new(batched_fleet(&cfg, n_clusters, trained)));
-    Ok(sim)
-}
-
-/// [`try_compose_batched`] with batched flushes overlapped onto a helper
-/// thread ([`Simulation::set_batch_overlap`]): the helper runs the
-/// previous chunk's `infer_batch` while the event thread processes the
-/// current window's non-boundary events. Verdicts are chunking-invariant
-/// and re-injected at `enqueue + latency`, so the run is bit-identical to
-/// [`try_compose_batched`] (and to the scalar/PDES paths) — overlap is a
-/// pure wall-clock optimization.
-pub fn try_compose_batched_overlapped(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-    trained: &TrainedMimic,
-) -> Result<Simulation, PipelineError> {
-    let mut sim = try_compose_batched(base, n_clusters, protocol, trained)?;
-    sim.set_batch_overlap(true);
+    let helper = FeederHelper::for_partitions(1);
+    sim.set_batch_model(Box::new(batched_fleet(&cfg, n_clusters, trained, helper)));
     Ok(sim)
 }
 
@@ -191,6 +174,7 @@ pub fn try_compose_heterogeneous_batched(
         cfg.topo,
         n_clusters,
         &cluster_assign,
+        FeederHelper::for_partitions(1),
     );
     sim.set_batch_model(Box::new(fleet));
     Ok(sim)
@@ -210,20 +194,7 @@ pub fn run_composed_partitioned(
     trained: &TrainedMimic,
     partitions: usize,
 ) -> Result<Metrics, PipelineError> {
-    run_composed_partitioned_full(base, n_clusters, protocol, trained, partitions, false, false)
-}
-
-/// [`run_composed_partitioned`] with each LP's flushes overlapped onto its
-/// own helper thread. Bit-identical to the synchronous partitioned run
-/// (and to sequential) — asserted by the concurrency suite.
-pub fn run_composed_partitioned_overlapped(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-    trained: &TrainedMimic,
-    partitions: usize,
-) -> Result<Metrics, PipelineError> {
-    run_composed_partitioned_full(base, n_clusters, protocol, trained, partitions, false, true)
+    run_composed_partitioned_obs(base, n_clusters, protocol, trained, partitions, false)
 }
 
 /// [`run_composed_partitioned`] with optional engine tracing: when `trace`
@@ -239,7 +210,17 @@ pub fn run_composed_partitioned_obs(
     partitions: usize,
     trace: bool,
 ) -> Result<Metrics, PipelineError> {
-    run_composed_partitioned_full(base, n_clusters, protocol, trained, partitions, trace, false)
+    let opts = PdesRunOpts {
+        obs: trace,
+        ..PdesRunOpts::default()
+    };
+    run_composed_partitioned_opts(base, n_clusters, protocol, trained, partitions, &opts)
+        .map_err(|e| match e {
+            ComposeRunError::Pipeline(e) => e,
+            ComposeRunError::Snapshot(e) => {
+                unreachable!("no checkpoint I/O requested, so no snapshot error: {e}")
+            }
+        })
 }
 
 /// [`run_composed_partitioned`] with crash resilience: optionally cut a
@@ -249,14 +230,12 @@ pub fn run_composed_partitioned_obs(
 /// chunking invariance means settling the fleet's pending batch at the
 /// checkpoint barrier never changes a verdict. Works for sequential runs
 /// too (`partitions == 1`).
-#[allow(clippy::too_many_arguments)]
 pub fn run_composed_partitioned_checkpointed(
     base: SimConfig,
     n_clusters: u32,
     protocol: Protocol,
     trained: &TrainedMimic,
     partitions: usize,
-    overlap: bool,
     checkpoint: Option<&CheckpointPlan>,
     resume_from: Option<&Path>,
 ) -> Result<Metrics, ComposeRunError> {
@@ -265,7 +244,7 @@ pub fn run_composed_partitioned_checkpointed(
         resume_from: resume_from.map(Path::to_path_buf),
         ..PdesRunOpts::default()
     };
-    run_composed_partitioned_opts(base, n_clusters, protocol, trained, partitions, overlap, &opts)
+    run_composed_partitioned_opts(base, n_clusters, protocol, trained, partitions, &opts)
 }
 
 /// [`run_composed_partitioned_checkpointed`] with the full option set:
@@ -278,26 +257,13 @@ pub fn run_composed_partitioned_opts(
     protocol: Protocol,
     trained: &TrainedMimic,
     partitions: usize,
-    overlap: bool,
     opts: &PdesRunOpts,
 ) -> Result<Metrics, ComposeRunError> {
-    let (cfg, _) = composed_engine(base, n_clusters, protocol)?;
-    let floor = batched_fleet(&cfg, n_clusters, trained).latency_floor();
-    let window = cfg.link.latency.min(floor);
-    run_partitioned_opts(
-        cfg,
-        partitions,
-        window,
-        &|| protocol.factory(),
-        &|sim| {
-            sim.set_batch_model(Box::new(batched_fleet(&cfg, n_clusters, trained)));
-            if overlap {
-                sim.set_batch_overlap(true);
-            }
-        },
-        opts,
-    )
-    .map_err(ComposeRunError::from)
+    let cfg = composed_config(base, n_clusters, protocol)?;
+    let helper = FeederHelper::for_partitions(partitions);
+    run_composed_fleet(cfg, protocol, partitions, opts, &|| {
+        Box::new(batched_fleet(&cfg, n_clusters, trained, helper))
+    })
 }
 
 /// Run an *adaptive* composition: the Mimic'ed clusters sit behind an
@@ -315,7 +281,6 @@ pub fn run_composed_adaptive_checkpointed(
     protocol: Protocol,
     trained: &TrainedMimic,
     partitions: usize,
-    overlap: bool,
     budget: &AccuracyBudget,
     plan: &TierPlan,
     correction: Option<&CorrectionHead>,
@@ -328,7 +293,7 @@ pub fn run_composed_adaptive_checkpointed(
         ..PdesRunOpts::default()
     };
     run_composed_adaptive_opts(
-        base, n_clusters, protocol, trained, partitions, overlap, budget, plan, correction, &opts,
+        base, n_clusters, protocol, trained, partitions, budget, plan, correction, &opts,
     )
 }
 
@@ -342,33 +307,18 @@ pub fn run_composed_adaptive_opts(
     protocol: Protocol,
     trained: &TrainedMimic,
     partitions: usize,
-    overlap: bool,
     budget: &AccuracyBudget,
     plan: &TierPlan,
     correction: Option<&CorrectionHead>,
     opts: &PdesRunOpts,
 ) -> Result<Metrics, ComposeRunError> {
-    let (cfg, _) = composed_engine(base, n_clusters, protocol)?;
-    let floor = adaptive_fleet(&cfg, n_clusters, trained, budget, correction).latency_floor();
-    let window = cfg.link.latency.min(floor);
+    let cfg = composed_config(base, n_clusters, protocol)?;
+    let helper = FeederHelper::for_partitions(partitions);
     let mut opts = opts.clone();
     opts.tiers = Some(*plan);
-    run_partitioned_opts(
-        cfg,
-        partitions,
-        window,
-        &|| protocol.factory(),
-        &|sim| {
-            sim.set_batch_model(Box::new(adaptive_fleet(
-                &cfg, n_clusters, trained, budget, correction,
-            )));
-            if overlap {
-                sim.set_batch_overlap(true);
-            }
-        },
-        &opts,
-    )
-    .map_err(ComposeRunError::from)
+    run_composed_fleet(cfg, protocol, partitions, &opts, &|| {
+        Box::new(adaptive_fleet(&cfg, n_clusters, trained, budget, correction, helper))
+    })
 }
 
 /// [`run_composed_adaptive_checkpointed`] without crash resilience.
@@ -384,47 +334,41 @@ pub fn run_composed_adaptive(
     correction: Option<&CorrectionHead>,
 ) -> Result<Metrics, ComposeRunError> {
     run_composed_adaptive_checkpointed(
-        base, n_clusters, protocol, trained, partitions, false, budget, plan, correction, None,
-        None,
+        base, n_clusters, protocol, trained, partitions, budget, plan, correction, None, None,
     )
 }
 
-fn run_composed_partitioned_full(
-    base: SimConfig,
-    n_clusters: u32,
+/// Run the composed configuration `cfg` (see [`composed_config`]) across
+/// `partitions` PDES LPs, each installing the batched model `make_fleet`
+/// builds. The window is `min(link latency, the model's latency floor)`.
+/// Every composed PDES run goes through here; tests call it directly to
+/// pin a fleet option such as its [`FeederHelper`].
+pub fn run_composed_fleet(
+    cfg: SimConfig,
     protocol: Protocol,
-    trained: &TrainedMimic,
     partitions: usize,
-    trace: bool,
-    overlap: bool,
-) -> Result<Metrics, PipelineError> {
-    let (cfg, _) = composed_engine(base, n_clusters, protocol)?;
-    let floor = batched_fleet(&cfg, n_clusters, trained).latency_floor();
-    let window = cfg.link.latency.min(floor);
-    Ok(run_partitioned_setup(
+    opts: &PdesRunOpts,
+    make_fleet: &(dyn Fn() -> Box<dyn BatchClusterModel> + Sync),
+) -> Result<Metrics, ComposeRunError> {
+    let window = cfg.link.latency.min(make_fleet().latency_floor());
+    run_partitioned_opts(
         cfg,
         partitions,
         window,
         &|| protocol.factory(),
-        &|sim| {
-            sim.set_batch_model(Box::new(batched_fleet(&cfg, n_clusters, trained)));
-            if overlap {
-                sim.set_batch_overlap(true);
-            }
-            if trace {
-                sim.enable_obs();
-            }
-        },
-    ))
+        &|sim| sim.set_batch_model(make_fleet()),
+        opts,
+    )
+    .map_err(ComposeRunError::from)
 }
 
-/// Shared composition plumbing: scale the base config, validate it, and
-/// build the bare engine.
-pub(crate) fn composed_engine(
+/// The validated configuration of an `n_clusters` composition: `base`
+/// scaled to `n_clusters` with `protocol`'s queue setup.
+pub fn composed_config(
     base: SimConfig,
     n_clusters: u32,
     protocol: Protocol,
-) -> Result<(SimConfig, Simulation), PipelineError> {
+) -> Result<SimConfig, PipelineError> {
     if n_clusters < 2 {
         return Err(PipelineError::InvalidComposition {
             reason: format!("a composition needs at least two clusters, got {n_clusters}"),
@@ -434,8 +378,17 @@ pub(crate) fn composed_engine(
     cfg.topo.clusters = n_clusters;
     cfg.queue = protocol.queue_setup(cfg.queue);
     cfg.validate()?;
-    let sim = Simulation::with_transport(cfg, protocol.factory());
-    Ok((cfg, sim))
+    Ok(cfg)
+}
+
+/// [`composed_config`] plus the bare engine built from it.
+fn composed_engine(
+    base: SimConfig,
+    n_clusters: u32,
+    protocol: Protocol,
+) -> Result<(SimConfig, Simulation), PipelineError> {
+    let cfg = composed_config(base, n_clusters, protocol)?;
+    Ok((cfg, Simulation::with_transport(cfg, protocol.factory())))
 }
 
 /// The adaptive fleet for `cfg`: the homogeneous Mimic fleet (seeded
@@ -446,9 +399,10 @@ pub fn adaptive_fleet(
     trained: &TrainedMimic,
     budget: &AccuracyBudget,
     correction: Option<&CorrectionHead>,
+    helper: FeederHelper,
 ) -> AdaptiveFleet {
     AdaptiveFleet::new(
-        batched_fleet(cfg, n_clusters, trained),
+        batched_fleet(cfg, n_clusters, trained, helper),
         cfg,
         budget.clone(),
         correction.copied(),
@@ -456,16 +410,17 @@ pub fn adaptive_fleet(
 }
 
 /// The homogeneous fleet for `cfg`, seeded exactly like [`compose`].
-pub(crate) fn batched_fleet(
+pub fn batched_fleet(
     cfg: &SimConfig,
     n_clusters: u32,
     trained: &TrainedMimic,
+    helper: FeederHelper,
 ) -> BatchedMimicFleet {
     let cluster_seeds: Vec<(u32, u64)> = (0..n_clusters)
         .filter(|&c| c != OBSERVABLE)
         .map(|c| (c, cfg.seed ^ (0xC0DE_0000 + c as u64)))
         .collect();
-    BatchedMimicFleet::new(trained.clone(), cfg.topo, n_clusters, &cluster_seeds)
+    BatchedMimicFleet::new(trained.clone(), cfg.topo, n_clusters, &cluster_seeds, helper)
 }
 
 /// Heterogeneous composition (paper Appendix A's relaxation: "it may be

@@ -376,7 +376,6 @@ impl Pipeline {
             self.cfg.protocol,
             trained,
             partitions,
-            false,
             &opts,
         )?;
         self.obs.end(None);
@@ -452,7 +451,6 @@ impl Pipeline {
             self.cfg.protocol,
             trained,
             partitions,
-            false,
             budget,
             plan,
             correction,

@@ -37,7 +37,7 @@ use dcn_sim::packet::{FlowId, Packet};
 use dcn_sim::time::SimTime;
 use dcn_sim::topology::FatTree;
 use mimic_ml::train::TrainConfig;
-use mimicnet::batch::BatchedMimicFleet;
+use mimicnet::batch::{BatchedMimicFleet, FeederHelper};
 use mimicnet::datagen::{generate, DataGenConfig};
 use mimicnet::drift::FeatureEnvelope;
 use mimicnet::internal_model::InternalModel;
@@ -98,7 +98,7 @@ fn batched_infer_and_wakes_do_not_allocate_after_warmup() {
     topo.clusters = 4;
     let t = FatTree::new(topo);
     let seeds: Vec<(u32, u64)> = (1..4).map(|c| (c, 9 ^ (0xC0DE_0000 + c as u64))).collect();
-    let mut fleet = BatchedMimicFleet::new(bundle, topo, 4, &seeds);
+    let mut fleet = BatchedMimicFleet::new(bundle, topo, 4, &seeds, FeederHelper::Off);
 
     let mut items = Vec::new();
     let mut verdicts = Vec::new();

@@ -11,7 +11,7 @@ use dcn_sim::packet::{FlowId, Packet};
 use dcn_sim::time::SimTime;
 use dcn_sim::topology::{FatTree, FatTreeParams};
 use mimic_ml::train::TrainConfig;
-use mimicnet::batch::BatchedMimicFleet;
+use mimicnet::batch::{BatchedMimicFleet, FeederHelper};
 use mimicnet::datagen::{generate, DataGenConfig};
 use mimicnet::internal_model::InternalModel;
 use mimicnet::mimic::TrainedMimic;
@@ -98,7 +98,8 @@ fn materialize(raw: &[RawItem], topo: &FatTree) -> Vec<BoundaryItem> {
 fn run_chunked(items: &[BoundaryItem], chunks: &[usize]) -> Vec<(u64, bool)> {
     let (bundle, topo_params) = bundle();
     let seeds: Vec<(u32, u64)> = (1..4).map(|c| (c, 40 + c as u64)).collect();
-    let mut fleet = BatchedMimicFleet::new(bundle.clone(), *topo_params, 4, &seeds);
+    let mut fleet =
+        BatchedMimicFleet::new(bundle.clone(), *topo_params, 4, &seeds, FeederHelper::Off);
     let mut verdicts = Vec::new();
     let mut out = Vec::with_capacity(items.len());
     let mut rest = items;

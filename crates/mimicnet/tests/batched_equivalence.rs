@@ -1,28 +1,24 @@
 //! Equivalence suite for the batched compose path (the lock on the PR's
 //! tentpole): batched inference over a recorded boundary-packet trace must
-//! be **byte-identical** to per-packet scalar stepping — at every
-//! [`KernelMode`], for every flush chunking.
+//! be **byte-identical** to per-packet scalar stepping — for every flush
+//! chunking, with and without the feeder helper thread.
 //!
 //! The comparator is the scalar pipeline spelled out by hand: one
 //! [`FeatureExtractor`] + [`ModelState`] per (cluster, direction) lane,
 //! views built by the same [`packet_view`] projection, raw outputs from
-//! [`SeqModel::step`] one packet at a time, congestion feedback applied
-//! with threshold decisions. The fleet (in [`DecisionMode::Threshold`])
-//! must reproduce every raw output bit, no matter how the item stream is
-//! chunked into flushes.
-//!
-//! Kernel-mode flipping touches process-global state, so everything runs
-//! inside a single `#[test]` function.
+//! [`SeqModel::step_lanes_reference`] one packet at a time, congestion
+//! feedback applied with threshold decisions. The fleet (in
+//! [`DecisionMode::Threshold`]) must reproduce every raw output bit, no
+//! matter how the item stream is chunked into flushes.
 
 use dcn_sim::mimic::{BatchClusterModel, BoundaryDir, BoundaryItem, Verdict};
 use dcn_sim::packet::{FlowId, Packet};
 use dcn_sim::time::SimTime;
 use dcn_sim::topology::FatTree;
 use mimic_ml::loss::sigmoid;
-use mimic_ml::matrix::{set_kernel_mode, KernelMode};
 use mimic_ml::model::{ModelState, OUTPUTS, OUT_DROP, OUT_LATENCY};
 use mimic_ml::train::TrainConfig;
-use mimicnet::batch::BatchedMimicFleet;
+use mimicnet::batch::{BatchedMimicFleet, FeederHelper};
 use mimicnet::datagen::{generate, DataGenConfig};
 use mimicnet::drift::FeatureEnvelope;
 use mimicnet::features::FeatureExtractor;
@@ -89,9 +85,10 @@ fn record_trace(topo: &FatTree) -> Vec<BoundaryItem> {
     items
 }
 
-/// Scalar reference: step every lane's packets one at a time through
-/// `SeqModel::step`, with threshold-decision congestion feedback — the
-/// exact per-packet arithmetic of `LearnedMimic::on_packet`.
+/// Scalar reference: step every lane's packets one at a time through the
+/// reference lane kernel (a plain loop of `SeqModel::step`), with
+/// threshold-decision congestion feedback — the exact per-packet
+/// arithmetic of `LearnedMimic::on_packet`.
 fn scalar_reference(bundle: &TrainedMimic, topo: &FatTree, items: &[BoundaryItem]) -> Vec<[f32; OUTPUTS]> {
     struct LaneRef {
         fx: FeatureExtractor,
@@ -111,7 +108,9 @@ fn scalar_reference(bundle: &TrainedMimic, topo: &FatTree, items: &[BoundaryItem
         });
         let view = packet_view(topo, item.dir, &item.pkt, item.enqueued_at);
         lane.fx.extract_into(&view, &mut feat);
-        let o = model.model.step(&feat, &mut lane.state);
+        let mut o = [[0.0; OUTPUTS]];
+        model.model.step_lanes_reference(&feat, 1, std::slice::from_mut(&mut lane.state), &[0], &mut o);
+        let o = o[0];
         if sigmoid(o[OUT_DROP]) as f64 > 0.5 {
             lane.fx.observe_outcome(1.0, true);
         } else {
@@ -129,9 +128,10 @@ fn fleet_outputs(
     topo_params: dcn_sim::topology::FatTreeParams,
     items: &[BoundaryItem],
     chunk: usize,
+    helper: FeederHelper,
 ) -> Vec<[f32; OUTPUTS]> {
     let seeds: Vec<(u32, u64)> = (1..4).map(|c| (c, 1000 + c as u64)).collect();
-    let mut fleet = BatchedMimicFleet::new(bundle.clone(), topo_params, 4, &seeds)
+    let mut fleet = BatchedMimicFleet::new(bundle.clone(), topo_params, 4, &seeds, helper)
         .with_mode(DecisionMode::Threshold);
     let mut verdicts = Vec::new();
     let mut raw = Vec::with_capacity(items.len());
@@ -156,22 +156,17 @@ fn batched_trace_is_byte_identical_to_scalar_stepping() {
     let topo = FatTree::new(topo_params);
     let items = record_trace(&topo);
 
-    // The scalar reference never touches the batched kernels; its outputs
-    // are the same under either mode (scalar inference has no dispatch),
-    // so record it once under the default mode.
     let reference = bits(&scalar_reference(&bundle, &topo, &items));
 
-    for mode in [KernelMode::Naive, KernelMode::Blocked] {
-        set_kernel_mode(mode);
+    for helper in [FeederHelper::Off, FeederHelper::On] {
         for chunk in [1usize, 7, 16, 64] {
-            let got = bits(&fleet_outputs(&bundle, topo_params, &items, chunk));
+            let got = bits(&fleet_outputs(&bundle, topo_params, &items, chunk, helper));
             assert_eq!(
                 got, reference,
-                "raw outputs diverged from scalar stepping (mode {mode:?}, chunk {chunk})"
+                "raw outputs diverged from scalar stepping (helper {helper:?}, chunk {chunk})"
             );
         }
     }
-    set_kernel_mode(KernelMode::Blocked);
 }
 
 #[test]
@@ -185,7 +180,8 @@ fn verdicts_are_chunking_invariant_in_sample_mode() {
 
     let run = |chunk: usize| {
         let seeds: Vec<(u32, u64)> = (1..4).map(|c| (c, 1000 + c as u64)).collect();
-        let mut fleet = BatchedMimicFleet::new(bundle.clone(), topo_params, 4, &seeds);
+        let mut fleet =
+            BatchedMimicFleet::new(bundle.clone(), topo_params, 4, &seeds, FeederHelper::Off);
         let mut verdicts = Vec::new();
         let mut all: Vec<(u64, bool)> = Vec::new();
         for batch in items.chunks(chunk) {

@@ -1,9 +1,9 @@
 //! Concurrency-determinism suite: the pipeline's parallel training fan-out
-//! and the engine's overlapped (off-thread) batched flushing are pure
-//! wall-clock optimizations — results must be bit-identical to their
-//! serial/synchronous counterparts at every worker count, partition
-//! count, and kernel mode. `RUST_TEST_THREADS` variation in CI re-runs
-//! this binary under contention to shake out scheduling sensitivity.
+//! and the batched fleet's feeder helper thread are pure wall-clock
+//! optimizations — results must be bit-identical to their serial/inline
+//! counterparts at every worker count and partition count.
+//! `RUST_TEST_THREADS` variation in CI re-runs this binary under
+//! contention to shake out scheduling sensitivity.
 
 use dcn_sim::config::SimConfig;
 use dcn_transport::Protocol;
@@ -79,9 +79,10 @@ fn bundle_fanout_matches_serial_training() {
 }
 
 // ---------------------------------------------------------------------
-// Overlapped flushing: off-thread batched inference must leave composed
-// trajectories byte-identical to the synchronous path — sequentially,
-// across PDES partition counts, and under either matrix kernel mode.
+// Feeder helper: applying feeder backlogs on the fleet's helper thread
+// must leave composed trajectories byte-identical to applying them on the
+// event thread — sequentially and across PDES partition counts, for
+// several seeds and both loss- and ECN-driven transports.
 // ---------------------------------------------------------------------
 
 fn quick_trained() -> (mimicnet::mimic::TrainedMimic, SimConfig) {
@@ -114,58 +115,46 @@ fn quick_trained() -> (mimicnet::mimic::TrainedMimic, SimConfig) {
 }
 
 #[test]
-fn overlapped_compose_matches_synchronous() {
-    use mimicnet::compose::{
-        run_composed_partitioned_overlapped, try_compose_batched, try_compose_batched_overlapped,
-    };
+fn feeder_helper_matches_inline_backlogs() {
+    use dcn_sim::pdes::PdesRunOpts;
+    use mimicnet::batch::FeederHelper;
+    use mimicnet::compose::{batched_fleet, composed_config, run_composed_fleet};
 
     let (trained, mut base) = quick_trained();
     base.duration_s = 0.25;
-    base.seed = 31;
-    let p = Protocol::NewReno;
-    let sync = try_compose_batched(base, 4, p, &trained)
-        .expect("valid composition")
-        .run();
-    assert!(sync.flows_completed() > 0, "composition made no progress");
-    let overlap = try_compose_batched_overlapped(base, 4, p, &trained)
-        .expect("valid composition")
-        .run();
-    assert_identical(&sync, &overlap, "sequential overlap");
-    assert_eq!(
-        sync.events_processed, overlap.events_processed,
-        "sequential overlap: event count"
-    );
-    for parts in [1usize, 2, 4] {
-        let par = run_composed_partitioned_overlapped(base, 4, p, &trained, parts)
-            .expect("valid composition");
-        assert_identical(&sync, &par, &format!("overlapped pdes x{parts}"));
+    // Obs never changes a trajectory; it is on to read where the feeder
+    // steps ran.
+    let opts = PdesRunOpts {
+        obs: true,
+        ..PdesRunOpts::default()
+    };
+    let mut helper_steps = 0;
+    for protocol in [Protocol::NewReno, Protocol::Dctcp { k: 20 }] {
+        for seed in [31u64, 32, 33] {
+            base.seed = seed;
+            let cfg = composed_config(base, 4, protocol).expect("valid composition");
+            let run = |parts: usize, helper: FeederHelper| {
+                run_composed_fleet(cfg, protocol, parts, &opts, &|| {
+                    Box::new(batched_fleet(&cfg, 4, &trained, helper))
+                })
+                .expect("composed run")
+            };
+            let inline = run(1, FeederHelper::Off);
+            assert!(inline.flows_completed() > 0, "composition made no progress");
+            for parts in [1usize, 2, 4] {
+                for helper in [FeederHelper::Off, FeederHelper::On] {
+                    let m = run(parts, helper);
+                    let label = format!("{} seed {seed} x{parts} helper={helper:?}", protocol.name());
+                    assert_identical(&inline, &m, &label);
+                    assert_eq!(inline.canonical_bytes(), m.canonical_bytes(), "{label}");
+                    let obs = m.obs.as_ref().expect("obs report");
+                    helper_steps += obs.counters["mimic.feeder.helper_steps"];
+                    if helper == FeederHelper::Off {
+                        assert_eq!(obs.counters["mimic.feeder.helper_steps"], 0, "{label}");
+                    }
+                }
+            }
+        }
     }
-}
-
-#[test]
-fn overlapped_compose_kernel_mode_invariant() {
-    use mimic_ml::matrix::{set_kernel_mode, KernelMode};
-    use mimicnet::compose::{try_compose_batched, try_compose_batched_overlapped};
-
-    let (trained, mut base) = quick_trained();
-    base.duration_s = 0.2;
-    base.seed = 7;
-    let p = Protocol::NewReno;
-    // Both kernel modes are bit-identical by construction, so flipping the
-    // process-wide mode mid-suite cannot perturb concurrently running
-    // tests; restore the default anyway.
-    let mut runs = Vec::new();
-    for mode in [KernelMode::Naive, KernelMode::Blocked] {
-        set_kernel_mode(mode);
-        let sync = try_compose_batched(base, 4, p, &trained)
-            .expect("valid composition")
-            .run();
-        let overlap = try_compose_batched_overlapped(base, 4, p, &trained)
-            .expect("valid composition")
-            .run();
-        assert_identical(&sync, &overlap, &format!("overlap under {mode:?}"));
-        runs.push(sync);
-    }
-    set_kernel_mode(KernelMode::Blocked);
-    assert_identical(&runs[0], &runs[1], "kernel modes");
+    assert!(helper_steps > 0, "the feeder helper never applied a row");
 }

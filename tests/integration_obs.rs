@@ -147,7 +147,7 @@ fn flight_ring_wraps_keeping_only_the_most_recent_events() {
         }),
         ..PdesRunOpts::default()
     };
-    let m = run_composed_partitioned_opts(base, 3, Protocol::NewReno, &trained, 2, false, &opts)
+    let m = run_composed_partitioned_opts(base, 3, Protocol::NewReno, &trained, 2, &opts)
         .expect("valid composition");
     let r = m.obs.as_ref().expect("flight ring rides in the obs report");
     // Two LPs, 64 slots each: the retained history is bounded while the
@@ -196,7 +196,7 @@ fn crash_drill_dumps_flight_ring_through_atomic_write() {
         ..PdesRunOpts::default()
     };
     let err =
-        match run_composed_partitioned_opts(base, 3, Protocol::NewReno, &trained, 2, false, &opts)
+        match run_composed_partitioned_opts(base, 3, Protocol::NewReno, &trained, 2, &opts)
         {
             Ok(_) => panic!("crash drill must fail the run"),
             Err(e) => e,
@@ -248,7 +248,6 @@ fn digest_timeline_is_partition_count_invariant() {
                 Protocol::NewReno,
                 &trained,
                 partitions,
-                false,
                 &opts,
             )
             .expect("valid composition");
@@ -278,7 +277,7 @@ fn diagnostics_do_not_perturb_the_trajectory() {
     base.duration_s = 0.2;
     base.seed = 48;
     let run = |opts: &PdesRunOpts| {
-        run_composed_partitioned_opts(base, 3, Protocol::NewReno, &trained, 2, false, opts)
+        run_composed_partitioned_opts(base, 3, Protocol::NewReno, &trained, 2, opts)
             .expect("valid composition")
     };
     let plain = run(&PdesRunOpts::default());

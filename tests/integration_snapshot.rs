@@ -1,17 +1,21 @@
 //! Integration tests of the checkpoint/restore subsystem: a composed
 //! MimicNet run that is checkpointed mid-flight — or killed and resumed
 //! from the committed checkpoint — must produce metrics byte-identical to
-//! an uninterrupted run, at every partition count and compose mode. And a
+//! an uninterrupted run, at every partition count, with and without the
+//! fleet's feeder helper thread. And a
 //! damaged checkpoint must surface as a typed [`SnapshotError`], never a
 //! panic.
 
 use dcn_sim::mimic::FidelityTier;
-use dcn_sim::pdes::{read_manifest, CheckpointPlan, TierPlan, MANIFEST_FILE};
+use dcn_sim::pdes::{read_manifest, CheckpointPlan, PdesRunOpts, TierPlan, MANIFEST_FILE};
 use dcn_sim::snapshot::{
     read_snapshot_file, SnapReader, SnapWriter, SnapshotError, FORMAT_VERSION,
 };
 use dcn_sim::time::SimDuration;
-use mimicnet::compose::{run_composed_adaptive_checkpointed, run_composed_partitioned_checkpointed};
+use mimicnet::batch::FeederHelper;
+use mimicnet::compose::{
+    batched_fleet, composed_config, run_composed_adaptive_checkpointed, run_composed_fleet,
+};
 use mimicnet::degrade::{AccuracyBudget, BudgetLedger};
 use mimicnet::error::ComposeRunError;
 use mimicnet::mimic::TrainedMimic;
@@ -42,45 +46,45 @@ fn ckpt_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Run the composed simulation at `partitions`, optionally overlapped,
-/// optionally checkpointing into `plan` / resuming from `resume`.
+/// Run the composed simulation at `partitions` with the feeder helper on
+/// or off, optionally checkpointing into `plan` / resuming from `resume`.
 fn composed(
     partitions: usize,
-    overlap: bool,
+    helper: FeederHelper,
     plan: Option<&CheckpointPlan>,
     resume: Option<&std::path::Path>,
 ) -> Result<dcn_sim::instrument::Metrics, ComposeRunError> {
-    let cfg = quick_cfg();
-    run_composed_partitioned_checkpointed(
-        cfg.base,
-        4,
-        cfg.protocol,
-        trained(),
-        partitions,
-        overlap,
-        plan,
-        resume,
-    )
+    let pipe = quick_cfg();
+    let cfg = composed_config(pipe.base, 4, pipe.protocol)?;
+    let opts = PdesRunOpts {
+        checkpoint: plan.cloned(),
+        resume_from: resume.map(std::path::Path::to_path_buf),
+        ..PdesRunOpts::default()
+    };
+    run_composed_fleet(cfg, pipe.protocol, partitions, &opts, &|| {
+        Box::new(batched_fleet(&cfg, 4, trained(), helper))
+    })
 }
 
 #[test]
 fn checkpointed_and_resumed_runs_are_byte_identical_across_modes() {
     // The acceptance matrix: 1/2/4 partitions (1 is the sequential
-    // engine), with the batched fleet flushed synchronously and with the
-    // overlapped (helper-thread) flush path.
+    // engine), with the fleet's feeder backlogs applied inline and by the
+    // helper thread. Checkpoint barriers routinely find rows still queued
+    // in the backlogs; `save_state` applies them before writing.
     for partitions in [1usize, 2, 4] {
-        for overlap in [false, true] {
-            let label = format!("x{partitions} overlap={overlap}");
-            let plain = composed(partitions, overlap, None, None)
+        for helper in [FeederHelper::Off, FeederHelper::On] {
+            let label = format!("x{partitions} helper={helper:?}");
+            let plain = composed(partitions, helper, None, None)
                 .unwrap_or_else(|e| panic!("{label}: uninterrupted run failed: {e}"));
 
-            let dir = ckpt_dir(&format!("id-{partitions}-{overlap}"));
+            let dir = ckpt_dir(&format!("id-{partitions}-{helper:?}"));
             let plan = CheckpointPlan {
                 dir: dir.clone(),
                 every: SimDuration::from_millis(80),
                 keep: 1,
             };
-            let ckpt = composed(partitions, overlap, Some(&plan), None)
+            let ckpt = composed(partitions, helper, Some(&plan), None)
                 .unwrap_or_else(|e| panic!("{label}: checkpointed run failed: {e}"));
             assert_eq!(
                 plain.canonical_bytes(),
@@ -93,7 +97,7 @@ fn checkpointed_and_resumed_runs_are_byte_identical_across_modes() {
             let manifest = read_manifest(&dir)
                 .unwrap_or_else(|e| panic!("{label}: no committed manifest: {e}"));
             assert_eq!(manifest.partitions as usize, partitions, "{label}");
-            let resumed = composed(partitions, overlap, None, Some(&dir))
+            let resumed = composed(partitions, helper, None, Some(&dir))
                 .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
             assert_eq!(
                 plain.canonical_bytes(),
@@ -114,7 +118,7 @@ fn committed_part_file(tag: &str) -> (PathBuf, PathBuf) {
         every: SimDuration::from_millis(80),
         keep: 1,
     };
-    composed(1, false, Some(&plan), None).expect("checkpointed run");
+    composed(1, FeederHelper::Off, Some(&plan), None).expect("checkpointed run");
     let manifest = read_manifest(&dir).expect("committed manifest");
     let part = dir.join(&manifest.generation).join("part-0.snap");
     assert!(part.exists(), "committed partition file missing");
@@ -158,7 +162,6 @@ fn adaptive(
         cfg.protocol,
         trained(),
         1,
-        false,
         &budget,
         &TierPlan { every_windows: 16 },
         None,
@@ -296,7 +299,7 @@ fn bit_flipped_snapshot_is_a_checksum_error() {
         other => panic!("bit flip must fail the checksum, got {other:?}"),
     }
     // The whole resume path must surface the same typed error, not panic.
-    match composed(1, false, None, Some(&dir)) {
+    match composed(1, FeederHelper::Off, None, Some(&dir)) {
         Err(ComposeRunError::Snapshot(SnapshotError::ChecksumMismatch { .. })) => {}
         Ok(_) => panic!("resume from a corrupted snapshot must fail"),
         Err(e) => panic!("wrong error for corrupted snapshot: {e}"),
@@ -313,7 +316,7 @@ fn truncated_snapshot_is_a_typed_error() {
         Err(SnapshotError::Truncated) => {}
         other => panic!("truncation must be typed, got {other:?}"),
     }
-    match composed(1, false, None, Some(&dir)) {
+    match composed(1, FeederHelper::Off, None, Some(&dir)) {
         Err(ComposeRunError::Snapshot(SnapshotError::Truncated)) => {}
         Ok(_) => panic!("resume from a truncated snapshot must fail"),
         Err(e) => panic!("wrong error for truncated snapshot: {e}"),
@@ -342,14 +345,14 @@ fn corrupt_manifest_is_a_typed_error_on_resume() {
     let (dir, _part) = committed_part_file("manifest");
     std::fs::write(dir.join(MANIFEST_FILE), b"{definitely not json")
         .expect("clobber manifest");
-    match composed(1, false, None, Some(&dir)) {
+    match composed(1, FeederHelper::Off, None, Some(&dir)) {
         Err(ComposeRunError::Snapshot(SnapshotError::Corrupt(_))) => {}
         Ok(_) => panic!("resume from a clobbered manifest must fail"),
         Err(e) => panic!("wrong error for clobbered manifest: {e}"),
     }
     // A missing directory is an I/O error, also typed.
     let gone = ckpt_dir("missing");
-    match composed(1, false, None, Some(&gone)) {
+    match composed(1, FeederHelper::Off, None, Some(&gone)) {
         Err(ComposeRunError::Snapshot(SnapshotError::Io(_))) => {}
         Ok(_) => panic!("resume from a missing directory must fail"),
         Err(e) => panic!("wrong error for missing directory: {e}"),

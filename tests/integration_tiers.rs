@@ -16,6 +16,7 @@ use mimicnet::compose::{
     adaptive_fleet, ground_truth, run_composed_adaptive, run_composed_adaptive_checkpointed,
     run_composed_partitioned, OBSERVABLE,
 };
+use mimicnet::batch::FeederHelper;
 use mimicnet::degrade::AccuracyBudget;
 use mimicnet::metrics::{observed, w1_fct_relative};
 use mimicnet::mimic::TrainedMimic;
@@ -80,8 +81,15 @@ fn adaptive_window(n_clusters: u32) -> SimDuration {
     let mut scaled = cfg.base;
     scaled.topo.clusters = n_clusters;
     scaled.queue = cfg.protocol.queue_setup(scaled.queue);
-    let floor = adaptive_fleet(&scaled, n_clusters, trained(), &all_flow_budget(), None)
-        .latency_floor();
+    let floor = adaptive_fleet(
+        &scaled,
+        n_clusters,
+        trained(),
+        &all_flow_budget(),
+        None,
+        FeederHelper::Off,
+    )
+    .latency_floor();
     scaled.link.latency.min(floor)
 }
 
@@ -254,7 +262,6 @@ fn checkpoint_at_tier_transition_restores_byte_identically() {
             cfg.protocol,
             trained(),
             2,
-            false,
             &budget,
             &plan,
             None,
